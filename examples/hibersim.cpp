@@ -57,7 +57,8 @@ output.series = false       # hourly response/speed-mix table
 output.csv = false          # emit CSV instead of aligned tables
 )";
 
-hib::Scheme SchemeByName(const std::string& name) {
+// Looks up `name`; on a miss, prints the valid names and returns false.
+bool SchemeByName(const std::string& name, hib::Scheme* scheme) {
   struct Entry {
     const char* name;
     hib::Scheme scheme;
@@ -76,11 +77,16 @@ hib::Scheme SchemeByName(const std::string& name) {
   };
   for (const Entry& e : kEntries) {
     if (name == e.name) {
-      return e.scheme;
+      *scheme = e.scheme;
+      return true;
     }
   }
-  std::fprintf(stderr, "unknown scheme '%s'; using Hibernator\n", name.c_str());
-  return hib::Scheme::kHibernator;
+  std::fprintf(stderr, "config: unknown scheme.name '%s'; valid names:", name.c_str());
+  for (const Entry& e : kEntries) {
+    std::fprintf(stderr, " %s", e.name);
+  }
+  std::fprintf(stderr, "\n");
+  return false;
 }
 
 std::unique_ptr<hib::WorkloadSource> MakeWorkload(hib::Config& config,
@@ -180,33 +186,35 @@ int main(int argc, char** argv) {
   array.data_fraction = config.GetDouble("array.data_fraction", 0.6);
 
   hib::SchemeConfig scheme;
-  scheme.scheme = SchemeByName(config.GetString("scheme.name", "Hibernator"));
+  bool scheme_known = SchemeByName(config.GetString("scheme.name", "Hibernator"), &scheme.scheme);
   scheme.epoch_ms = hib::Hours(config.GetDouble("scheme.epoch_hours", 2.0));
   scheme.migration_budget_extents = config.GetInt("scheme.migration_budget_extents", 4096);
   array = hib::ArrayFor(scheme, array);
 
   auto workload = MakeWorkload(config, array);
-  if (!workload) {
-    return 1;
-  }
 
   hib::Duration goal_ms = hib::Ms(config.GetDouble("scheme.goal_ms", 0.0));
   double multiplier = config.GetDouble("scheme.goal_multiplier", 2.5);
-  if (goal_ms <= hib::Duration{}) {
-    goal_ms = multiplier * hib::MeasureBaseResponseMs(*workload, array, hib::Hours(2.0));
-    workload->Reset();
-  }
-  scheme.goal_ms = goal_ms;
-
   bool want_series = config.GetBool("output.series", false);
   bool want_csv = config.GetBool("output.csv", false);
 
+  // Every key has been read: report all bad values, and stop on any, before
+  // the Base probe rather than after it.
   for (const std::string& err : config.errors()) {
     std::fprintf(stderr, "config: %s\n", err.c_str());
   }
   for (const std::string& key : config.UnusedKeys()) {
     std::fprintf(stderr, "config: unused key '%s' (typo?)\n", key.c_str());
   }
+  if (!scheme_known || !workload || !config.errors().empty()) {
+    return 1;
+  }
+
+  if (goal_ms <= hib::Duration{}) {
+    goal_ms = multiplier * hib::MeasureBaseResponseMs(*workload, array, hib::Hours(2.0));
+    workload->Reset();
+  }
+  scheme.goal_ms = goal_ms;
 
   auto policy = hib::MakePolicy(scheme);
   hib::ExperimentOptions options;

@@ -45,14 +45,14 @@ Disk::Disk(Simulator* sim, DiskParams params, int id, std::uint64_t seed)
   obs_service_ms_ = &metrics.GetHistogram("disk.service_ms");
   obs_state_since_ = sim_->Now();
 #if HIB_VALIDATE
-  sim_->validator()->OnDiskAttached(this, id_, static_cast<ValidatorDiskState>(state_),
-                                    current_power_, sim_->Now());
+  validator_track_ = sim_->validator().OnDiskAttached(id_, static_cast<ValidatorDiskState>(state_),
+                                                      current_power_, sim_->Now());
 #endif
 }
 
 Disk::~Disk() {
 #if HIB_VALIDATE
-  sim_->validator()->OnDiskDetached(this);
+  sim_->validator().OnDiskDetached(validator_track_);
 #endif
 }
 
@@ -108,10 +108,9 @@ void Disk::EnterState(DiskPowerState next) {
   AccountToNow();
   Watts next_power = StatePower(next);
 #if HIB_VALIDATE
-  sim_->validator()->OnDiskTransition(this, static_cast<ValidatorDiskState>(state_),
-                                      static_cast<ValidatorDiskState>(next), sim_->Now(),
-                                      next_power, energy_.Total(),
-                                      static_cast<std::int64_t>(QueueDepth()));
+  sim_->validator().OnDiskTransition(validator_track_, static_cast<ValidatorDiskState>(state_),
+                                     static_cast<ValidatorDiskState>(next), sim_->Now(), next_power,
+                                     energy_.Total(), static_cast<std::int64_t>(QueueDepth()));
 #endif
   // Close the residency span of the state being left (arg = its power draw,
   // dimensionless via the Watts/Watts division — this is trace output).

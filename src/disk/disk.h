@@ -40,9 +40,8 @@ enum class DiskPowerState {
   kSpinningUp,    // leaving standby
 };
 
-#if HIB_VALIDATE
 // SimValidator mirrors this enum so the sim layer stays below the disk layer;
-// keep the value mapping in lockstep.
+// keep the value mapping in lockstep (checked in every build).
 static_assert(static_cast<int>(DiskPowerState::kIdle) ==
               static_cast<int>(ValidatorDiskState::kIdle));
 static_assert(static_cast<int>(DiskPowerState::kBusy) ==
@@ -55,7 +54,6 @@ static_assert(static_cast<int>(DiskPowerState::kStandby) ==
               static_cast<int>(ValidatorDiskState::kStandby));
 static_assert(static_cast<int>(DiskPowerState::kSpinningUp) ==
               static_cast<int>(ValidatorDiskState::kSpinningUp));
-#endif
 
 const char* DiskPowerStateName(DiskPowerState state);
 
@@ -231,6 +229,9 @@ class Disk {
   LogLinearHistogram* obs_service_ms_;
   SimTime obs_state_since_;           // start of the current power-state span
   std::uint32_t obs_subop_seq_ = 0;   // per-disk sub-op trace id counter
+#if HIB_VALIDATE
+  std::uint32_t validator_track_ = 0;  // this disk's SimValidator track index
+#endif
 };
 
 }  // namespace hib

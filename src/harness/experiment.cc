@@ -43,11 +43,12 @@ std::size_t EventCapacityHintFor(const ArrayParams& array_params, double peak_io
   // timers per disk (service completion, spin/speed transitions), policy
   // timers, and one cache-hit completion per in-flight request — the latter
   // scales with the arrival rate.  The floor keeps the hint no smaller than
-  // the old fixed default, so existing runs can only gain headroom.
+  // the old fixed default, so existing runs can only gain headroom; the
+  // ceiling stops an absurd rate reserving gigabytes (the queue still grows
+  // on demand).  Clamping before the cast keeps any rate in range.
   int disks = array_params.num_disks + array_params.num_cache_disks;
-  std::size_t hint = static_cast<std::size_t>(64 * disks) +
-                     static_cast<std::size_t>(4.0 * (peak_iops > 0.0 ? peak_iops : 0.0));
-  return hint < 4096 ? 4096 : hint;
+  double wanted = 64.0 * disks + 4.0 * (peak_iops > 0.0 ? peak_iops : 0.0);
+  return static_cast<std::size_t>(std::clamp(wanted, 4096.0, 1048576.0));
 }
 
 ExperimentResult RunExperiment(WorkloadSource& workload, PowerPolicy& policy,

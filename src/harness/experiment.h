@@ -86,8 +86,8 @@ struct ExperimentOptions {
 };
 
 // Event-queue capacity to reserve for an array of this size under a workload
-// with the given peak arrival rate (requests/second; 0 = unknown).  Used when
-// ExperimentOptions::event_capacity_hint is 0.
+// with the given peak arrival rate (requests/second; 0 = unknown), clamped to
+// [4096, 1 << 20].  Used when ExperimentOptions::event_capacity_hint is 0.
 std::size_t EventCapacityHintFor(const ArrayParams& array_params, double peak_iops);
 
 // Replays `workload` (from its current position; call Reset() first for a

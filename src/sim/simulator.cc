@@ -58,7 +58,7 @@ std::uint64_t Simulator::RunUntil(SimTime until) {
     }
     HIB_DCHECK_GE(next, now_) << "event fired in the simulated past";
 #if HIB_VALIDATE
-    validator_->OnDispatch(next);
+    validator_.OnDispatch(next);
 #endif
     queue_.FireNext(&now_);
     ++fired;
@@ -77,7 +77,7 @@ bool Simulator::Step() {
   SimTime next = queue_.NextTime();
   HIB_DCHECK_GE(next, now_) << "event fired in the simulated past";
 #if HIB_VALIDATE
-  validator_->OnDispatch(next);
+  validator_.OnDispatch(next);
 #endif
   queue_.FireNext(&now_);
   ++events_fired_;

@@ -13,15 +13,10 @@
 
 #include "src/obs/obs.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/validator.h"
 #include "src/util/check.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/units.h"
-
-#if HIB_VALIDATE
-#include <memory>
-
-#include "src/sim/validator.h"
-#endif
 
 namespace hib {
 
@@ -68,9 +63,9 @@ class HIB_SHARD_LOCAL Simulator {
   bool idle() const { return queue_.empty(); }
 
 #if HIB_VALIDATE
-  // Invariant auditor; non-null in validating builds.  Simulated components
-  // (disks, ...) report state changes here.  Compiled out in Release.
-  SimValidator* validator() { return validator_.get(); }
+  // Invariant auditor.  Simulated components (disks, ...) report state
+  // changes here.  Compiled out in Release.
+  SimValidator& validator() { return validator_; }
 #endif
 
   // Per-simulation metrics registry + tracer.  Components resolve their
@@ -96,7 +91,7 @@ class HIB_SHARD_LOCAL Simulator {
   std::map<std::uint64_t, PeriodicState> periodics_;
   Observability obs_;
 #if HIB_VALIDATE
-  std::unique_ptr<SimValidator> validator_ = std::make_unique<SimValidator>();
+  SimValidator validator_;
 #endif
 };
 

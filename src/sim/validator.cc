@@ -36,27 +36,25 @@ void SimValidator::OnDispatch(SimTime when) {
   ++dispatches_checked_;
 }
 
-void SimValidator::OnDiskAttached(const void* disk, int disk_id,
-                                  ValidatorDiskState state, Watts power,
-                                  SimTime now) {
-  HIB_CHECK(track_index_.find(disk) == track_index_.end())
-      << "disk " << disk_id << " attached twice";
-  DiskTrack track;
-  track.disk_id = disk_id;
-  track.state = state;
-  track.power = power;
-  track.last_change = now;
-  std::uint64_t index = next_track_index_++;
-  track_index_.emplace(disk, index);
-  disks_.emplace(index, track);
+std::uint32_t SimValidator::OnDiskAttached(int disk_id, ValidatorDiskState state, Watts power,
+                                           SimTime now) {
+  tracks_.push_back({disk_id, /*attached=*/true, state, power, now, Joules{}});
+  ++disks_tracked_;
+  return static_cast<std::uint32_t>(tracks_.size() - 1);
 }
 
-void SimValidator::OnDiskDetached(const void* disk) {
-  auto it = track_index_.find(disk);
-  if (it != track_index_.end()) {
-    disks_.erase(it->second);
-    track_index_.erase(it);
-  }
+void SimValidator::OnDiskDetached(std::uint32_t index) {
+  AttachedTrack(index, "detach").attached = false;
+  --disks_tracked_;
+}
+
+SimValidator::DiskTrack& SimValidator::AttachedTrack(std::uint32_t index, const char* hook) {
+  HIB_CHECK(index < tracks_.size())
+      << hook << " on disk track " << index << ", which was never attached";
+  DiskTrack& track = tracks_[index];
+  HIB_CHECK(track.attached)
+      << hook << " on disk " << track.disk_id << " (track " << index << ") after it was detached";
+  return track;
 }
 
 bool SimValidator::IsLegalTransition(ValidatorDiskState from, ValidatorDiskState to) {
@@ -78,14 +76,11 @@ bool SimValidator::IsLegalTransition(ValidatorDiskState from, ValidatorDiskState
   return false;
 }
 
-void SimValidator::OnDiskTransition(const void* disk, ValidatorDiskState from,
+void SimValidator::OnDiskTransition(std::uint32_t index, ValidatorDiskState from,
                                     ValidatorDiskState to, SimTime now,
                                     Watts new_power, Joules metered_total,
                                     std::int64_t queue_depth) {
-  auto indexed = track_index_.find(disk);
-  HIB_CHECK(indexed != track_index_.end())
-      << "transition on a disk that was never attached";
-  DiskTrack& track = disks_.at(indexed->second);
+  DiskTrack& track = AttachedTrack(index, "transition");
 
   HIB_CHECK(IsLegalTransition(from, to))
       << "disk " << track.disk_id << ": illegal transition "

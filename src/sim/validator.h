@@ -1,8 +1,8 @@
 // Runtime invariant validator for the discrete-event core (debug builds).
 //
 // When HIB_VALIDATE is on (any build type except Release/MinSizeRel, or
-// -DHIB_VALIDATE=ON), every Simulator owns a SimValidator and the simulation
-// core reports into it:
+// -DHIB_VALIDATE=ON), every Simulator holds a SimValidator by value and the
+// simulation core reports into it:
 //
 //   - Simulator::RunUntil / Step  -> OnDispatch: dispatch times must be
 //     monotonically non-decreasing and events must never fire in the past.
@@ -14,6 +14,13 @@
 //     and the disk's energy ledger must match the validator's independent
 //     integration of state power over time to 1e-6 relative tolerance.
 //
+// Each disk owns a track: OnDiskAttached returns its index (dense, in attach
+// order, never reused) and the disk passes it back on every transition, so an
+// audit is one vector access, not a pointer-keyed lookup (perfbench oltp-day,
+// default seed, median of ten alternating runs on a 4-vCPU Xeon VM: 941 k
+// requests/s with the lookup, 1.10 M without; see DESIGN.md).  Any use of a
+// track after its detach aborts.
+//
 // All failures are fatal (HIB_CHECK -> abort), so GTest death tests can pin
 // the diagnostics.  In Release builds nothing in the core references this
 // class and validator.cc is not even compiled.
@@ -21,8 +28,7 @@
 #define HIBERNATOR_SRC_SIM_VALIDATOR_H_
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
+#include <vector>
 
 #include "src/util/units.h"
 
@@ -53,21 +59,20 @@ class SimValidator {
   void OnDispatch(SimTime when);
 
   // --- Disk hooks -----------------------------------------------------------
-  // Registers a disk (keyed by its address, which is unique and stable: Disk
-  // is non-copyable).  `power` is the draw of the initial state.
-  void OnDiskAttached(const void* disk, int disk_id, ValidatorDiskState state,
-                      Watts power, SimTime now);
+  // Opens a fresh track for a disk and returns its index.  `power` is the
+  // draw of the initial state.
+  std::uint32_t OnDiskAttached(int disk_id, ValidatorDiskState state, Watts power, SimTime now);
 
-  // Forgets a disk (called from ~Disk so a later heap reuse of the same
-  // address cannot inherit stale tracking).
-  void OnDiskDetached(const void* disk);
+  // Closes a track (called from ~Disk).  Detaching twice aborts.
+  void OnDiskDetached(std::uint32_t index);
 
-  // Audits one power-state change.  `new_power` is the draw of `to`;
-  // `metered_total` is the disk's own DiskEnergy::Total() integrated through
-  // `now`; `queue_depth` counts foreground + background requests.
-  void OnDiskTransition(const void* disk, ValidatorDiskState from,
-                        ValidatorDiskState to, SimTime now, Watts new_power,
-                        Joules metered_total, std::int64_t queue_depth);
+  // Audits one power-state change on an attached track.  `new_power` is the
+  // draw of `to`; `metered_total` is the disk's own DiskEnergy::Total()
+  // integrated through `now`; `queue_depth` counts foreground + background
+  // requests.
+  void OnDiskTransition(std::uint32_t index, ValidatorDiskState from, ValidatorDiskState to,
+                        SimTime now, Watts new_power, Joules metered_total,
+                        std::int64_t queue_depth);
 
   // True when `from -> to` is an edge of the legal power-state graph.
   static bool IsLegalTransition(ValidatorDiskState from, ValidatorDiskState to);
@@ -75,30 +80,29 @@ class SimValidator {
   // --- introspection (tests) ------------------------------------------------
   std::int64_t dispatches_checked() const { return dispatches_checked_; }
   std::int64_t transitions_checked() const { return transitions_checked_; }
-  std::int64_t disks_tracked() const { return static_cast<std::int64_t>(disks_.size()); }
+  // Tracks attached and not yet detached.
+  std::int64_t disks_tracked() const { return disks_tracked_; }
 
  private:
   struct DiskTrack {
     int disk_id = -1;
+    bool attached = true;
     ValidatorDiskState state = ValidatorDiskState::kIdle;
     Watts power;
     SimTime last_change;
     Joules integrated;  // validator's own sum of power * dt
   };
 
+  // The track at `index`; aborts, naming `hook`, unless it is attached.
+  DiskTrack& AttachedTrack(std::uint32_t index, const char* hook);
+
   double energy_rel_tol_;
   SimTime last_dispatch_;
   bool dispatched_any_ = false;
   std::int64_t dispatches_checked_ = 0;
   std::int64_t transitions_checked_ = 0;
-  // Tracks are keyed by a monotonically assigned registration index, so
-  // any walk over them reports in attach order regardless of where the
-  // disks live in memory.  The pointer handle the simulator hands us is
-  // resolved through a side index that is only ever used for lookups,
-  // never iterated (HIB011/HIB012).
-  std::uint64_t next_track_index_ = 0;
-  std::map<std::uint64_t, DiskTrack> disks_;
-  std::unordered_map<const void*, std::uint64_t> track_index_;
+  std::int64_t disks_tracked_ = 0;
+  std::vector<DiskTrack> tracks_;  // in attach order; the index is the handle
 };
 
 }  // namespace hib

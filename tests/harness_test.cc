@@ -170,6 +170,29 @@ TEST(Experiment, UnknownDurationSourceStillTerminates) {
   EXPECT_LE(r.sim_duration_ms, Hours(3.5));  // 1h trace + <=2h discovery + drain
 }
 
+TEST(Experiment, EventCapacityHintIsClamped) {
+  constexpr std::size_t kFloor = 4096;
+  constexpr std::size_t kCeiling = std::size_t{1} << 20;
+  // An absurd rate is capped instead of reserving billions of events.
+  ArrayParams oltp = MakeOltpSetup().array;
+  EXPECT_EQ(EventCapacityHintFor(oltp, 1e9), kCeiling);
+  EXPECT_EQ(EventCapacityHintFor(oltp, 1e300), kCeiling);
+  EXPECT_EQ(EventCapacityHintFor(oltp, -5.0), kFloor);
+  // The benchmark's array shapes stay on the floor: an OLTP array at the
+  // fleet's highest rate (300 IOPS, +25%), and the Cello array under every
+  // scheme, MAID's cache disks included.
+  EXPECT_EQ(EventCapacityHintFor(oltp, 300.0 * 1.25), kFloor);
+  CelloSetup cello = MakeCelloSetup();
+  for (Scheme s : MainComparisonSchemes()) {
+    SchemeConfig cfg;
+    cfg.scheme = s;
+    EXPECT_EQ(EventCapacityHintFor(ArrayFor(cfg, cello.array), cello.peak_iops), kFloor)
+        << SchemeName(s);
+  }
+  // Between the bounds the hint is unchanged: 64 per disk + 4 per IOPS.
+  EXPECT_EQ(EventCapacityHintFor(oltp, 10000.0), 64u * 20u + 40000u);
+}
+
 TEST(Experiment, OltpSetupSpeedLevelsPropagate) {
   for (int levels : {1, 2, 5}) {
     OltpSetup setup = MakeOltpSetup(levels);
