@@ -1,7 +1,5 @@
-// P1 — event-core microbenchmark: the rewritten EventQueue (slot arena +
-// generation counters + inline callbacks) against the original design
-// (std::function callbacks + two unordered_sets for pending/cancelled
-// bookkeeping), which is reproduced verbatim below as LegacyEventQueue.
+// P1 — event-core microbenchmark: schedule, cancel and fire throughput of
+// EventQueue (slot arena + generation counters + inline callbacks).
 //
 // Three mixes cover the simulator's real access patterns:
 //   steady_state    schedule+pop at a fixed queue depth (the injector/disk
@@ -12,18 +10,15 @@
 //                   reconfiguration bursts)
 //
 // Callbacks capture an 80-byte payload — the size of the hot disk
-// service-completion lambda (this + completion time + a DiskRequest) — far
-// beyond std::function's 16-byte inline buffer, so the legacy queue pays its
-// real-world per-event allocation.
+// service-completion lambda (this + completion time + a DiskRequest) — so
+// every event exercises the queue's inline callback storage.
 //
-// Emits BENCH_eventqueue.json; the "speedup" fields are the numbers future
-// perf work regresses against.  Usage: bench_eventqueue [--quick]
-#include <algorithm>
+// Emits BENCH_eventqueue.json; `aggregate_events_per_sec` (total ops over
+// total wall time across the mixes) is the number CI gates on.
+// Usage: bench_eventqueue [--quick]
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -32,84 +27,6 @@
 
 namespace hib {
 namespace {
-
-// --- the pre-rewrite queue, kept as the comparison baseline ----------------
-
-// The original queue compiled out-of-line in src/sim/event_queue.cc (no LTO),
-// so callers never inlined through Schedule/Cancel/PopNext.  noinline keeps
-// this reproduction honest: without it the bench TU inlines the whole legacy
-// hot path, which the shipped binary never did.  The rewritten queue is
-// header-inline by design, so it gets no such annotation.
-#define HIB_BENCH_NOINLINE __attribute__((noinline))
-
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-  using Id = std::uint64_t;
-
-  HIB_BENCH_NOINLINE Id Schedule(SimTime when, Callback cb) {
-    Id id = next_id_++;
-    heap_.push_back(Entry{when, id, std::move(cb)});
-    std::push_heap(heap_.begin(), heap_.end(), Later);
-    pending_.insert(id);
-    ++live_count_;
-    return id;
-  }
-
-  HIB_BENCH_NOINLINE bool Cancel(Id id) {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) {
-      return false;
-    }
-    pending_.erase(it);
-    cancelled_.insert(id);
-    --live_count_;
-    return true;
-  }
-
-  bool empty() const { return live_count_ == 0; }
-
-  struct Fired {
-    SimTime time;
-    Id id;
-    Callback callback;
-  };
-  HIB_BENCH_NOINLINE Fired PopNext() {
-    DropCancelledHead();
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
-    pending_.erase(e.id);
-    --live_count_;
-    return Fired{e.time, e.id, std::move(e.callback)};
-  }
-
- private:
-  struct Entry {
-    SimTime time;
-    Id id;
-    Callback callback;
-  };
-  static bool Later(const Entry& a, const Entry& b) {
-    if (a.time != b.time) {
-      return a.time > b.time;
-    }
-    return a.id > b.id;
-  }
-  void DropCancelledHead() {
-    while (!heap_.empty() && cancelled_.count(heap_.front().id) > 0) {
-      cancelled_.erase(heap_.front().id);
-      std::pop_heap(heap_.begin(), heap_.end(), Later);
-      heap_.pop_back();
-    }
-  }
-
-  std::vector<Entry> heap_;
-  std::unordered_set<Id> pending_;
-  std::unordered_set<Id> cancelled_;
-  Id next_id_ = 0;
-  std::size_t live_count_ = 0;
-};
 
 // 80-byte capture: this + a DiskRequest-sized chunk of state, the shape of
 // the simulator's hottest lambdas.
@@ -126,31 +43,9 @@ struct Payload {
   std::int64_t j;
 };
 
-// The rewritten queue can pre-size its arena (a capability the legacy queue
-// never had); experiment.cc does the same via ExperimentOptions.
-template <typename Queue>
-void MaybeReserve(Queue& q, std::size_t events) {
-  if constexpr (requires { q.Reserve(events); }) {
-    q.Reserve(events);
-  }
-}
-
-// Dispatch one event the way the Simulator run loop does: FireNext (in-place
-// callback execution) where the queue provides it, pop-then-invoke otherwise.
-template <typename Queue>
-void PopAndFire(Queue& q, SimTime* now) {
-  if constexpr (requires { q.FireNext(now); }) {
-    q.FireNext(now);
-  } else {
-    auto fired = q.PopNext();
-    *now = fired.time;
-    fired.callback();
-  }
-}
-
 // Pre-generated uniform [0,1) deltas, consumed round-robin inside the timed
 // loops so the harness isn't measuring the PRNG along with the queue.  64k
-// entries stay L2-resident and repeat far less often than either queue could
+// entries stay L2-resident and repeat far less often than the queue could
 // exploit.
 class DeltaRing {
  public:
@@ -175,20 +70,16 @@ class DeltaRing {
 struct MixResult {
   std::string name;
   std::uint64_t ops = 0;
-  double legacy_seconds = 0.0;
-  double new_seconds = 0.0;
+  double seconds = 0.0;
 
-  double LegacyRate() const { return static_cast<double>(ops) / legacy_seconds; }
-  double NewRate() const { return static_cast<double>(ops) / new_seconds; }
-  double Speedup() const { return legacy_seconds / new_seconds; }
+  double Rate() const { return static_cast<double>(ops) / seconds; }
 };
 
 // Steady state: keep `depth` events pending; each iteration pops the earliest
 // and schedules a replacement a random delta later.  Ops = 1 pop + 1 schedule.
-template <typename Queue>
 double RunSteadyState(std::uint64_t iterations, std::size_t depth, double* sink) {
-  Queue q;
-  MaybeReserve(q, depth);
+  EventQueue q;
+  q.Reserve(depth);
   DeltaRing rng(42);
   double acc = 0.0;
   SimTime now;
@@ -198,7 +89,7 @@ double RunSteadyState(std::uint64_t iterations, std::size_t depth, double* sink)
     q.Schedule(Ms(rng.Next() * 100.0), [p, &acc] { acc += p.a + p.b; });
   }
   for (std::uint64_t i = 0; i < iterations; ++i) {
-    PopAndFire(q, &now);
+    q.FireNext(&now);
     Payload p{rng.Next(), static_cast<double>(i), 1, 2, 3, 4, 5, 6, 7, 8};
     q.Schedule(now + Ms(rng.Next() * 100.0), [p, &acc] { acc += p.a - p.b; });
   }
@@ -209,10 +100,9 @@ double RunSteadyState(std::uint64_t iterations, std::size_t depth, double* sink)
 
 // Timer churn: schedule a near event and a far "timeout", cancel the timeout,
 // pop the near one.  Ops = 2 schedules + 1 cancel + 1 pop.
-template <typename Queue>
 double RunTimerChurn(std::uint64_t iterations, double* sink) {
-  Queue q;
-  MaybeReserve(q, 64);
+  EventQueue q;
+  q.Reserve(64);
   DeltaRing rng(43);
   double acc = 0.0;
   SimTime now;
@@ -222,7 +112,7 @@ double RunTimerChurn(std::uint64_t iterations, double* sink) {
     q.Schedule(now + Ms(rng.Next()), [p, &acc] { acc += p.a; });
     auto timeout = q.Schedule(now + Ms(1000.0 + rng.Next()), [p, &acc] { acc -= p.a; });
     q.Cancel(timeout);
-    PopAndFire(q, &now);
+    q.FireNext(&now);
   }
   double seconds = timer.Seconds();
   *sink += acc;
@@ -231,10 +121,9 @@ double RunTimerChurn(std::uint64_t iterations, double* sink) {
 
 // Burst: schedule `batch` events, drain them all; repeat.  Ops = 1 schedule +
 // 1 pop per event.
-template <typename Queue>
 double RunBurstDrain(std::uint64_t iterations, std::size_t batch, double* sink) {
-  Queue q;
-  MaybeReserve(q, batch);
+  EventQueue q;
+  q.Reserve(batch);
   DeltaRing rng(44);
   double acc = 0.0;
   SimTime now;
@@ -245,7 +134,7 @@ double RunBurstDrain(std::uint64_t iterations, std::size_t batch, double* sink) 
       q.Schedule(now + Ms(rng.Next() * 10.0), [p, &acc] { acc += p.a * p.b; });
     }
     while (!q.empty()) {
-      PopAndFire(q, &now);
+      q.FireNext(&now);
     }
   }
   double seconds = timer.Seconds();
@@ -263,89 +152,44 @@ int main(int argc, char** argv) {
       quick = true;
     }
   }
-  hib::PrintHeader("P1 (perf: event core)",
-                   "EventQueue slot-arena rewrite vs std::function + hash-set baseline");
+  hib::PrintHeader("P1 (perf: event core)", "EventQueue schedule/cancel/fire throughput");
 
   const std::uint64_t iters = quick ? 300'000 : 3'000'000;
   const std::size_t kDepth = 64;
   const std::size_t kBatch = 1024;
   double sink = 0.0;  // defeats dead-code elimination of the callbacks
 
-  std::vector<hib::MixResult> mixes;
-  {
-    hib::MixResult m;
-    m.name = "steady_state";
-    m.ops = iters * 2;
-    m.legacy_seconds =
-        hib::RunSteadyState<hib::LegacyEventQueue>(iters, kDepth, &sink);
-    m.new_seconds = hib::RunSteadyState<hib::EventQueue>(iters, kDepth, &sink);
-    mixes.push_back(m);
-  }
-  {
-    hib::MixResult m;
-    m.name = "timer_churn";
-    m.ops = iters * 4;
-    m.legacy_seconds = hib::RunTimerChurn<hib::LegacyEventQueue>(iters, &sink);
-    m.new_seconds = hib::RunTimerChurn<hib::EventQueue>(iters, &sink);
-    mixes.push_back(m);
-  }
-  {
-    hib::MixResult m;
-    m.name = "burst_drain";
-    m.ops = iters * 2;
-    m.legacy_seconds = hib::RunBurstDrain<hib::LegacyEventQueue>(iters, kBatch, &sink);
-    m.new_seconds = hib::RunBurstDrain<hib::EventQueue>(iters, kBatch, &sink);
-    mixes.push_back(m);
-  }
+  std::vector<hib::MixResult> mixes = {
+      {"steady_state", iters * 2, hib::RunSteadyState(iters, kDepth, &sink)},
+      {"timer_churn", iters * 4, hib::RunTimerChurn(iters, &sink)},
+      {"burst_drain", iters * 2, hib::RunBurstDrain(iters, kBatch, &sink)},
+  };
 
-  hib::Table table({"mix", "ops", "legacy Mops/s", "new Mops/s", "speedup"});
+  hib::Table table({"mix", "ops", "Mops/s"});
   hib::JsonArray runs;
-  double min_speedup = 1e300;
   std::uint64_t total_ops = 0;
-  double total_legacy_seconds = 0.0;
-  double total_new_seconds = 0.0;
+  double total_seconds = 0.0;
   for (const hib::MixResult& m : mixes) {
-    table.NewRow()
-        .Add(m.name)
-        .Add(static_cast<std::int64_t>(m.ops))
-        .Add(m.LegacyRate() / 1e6, 2)
-        .Add(m.NewRate() / 1e6, 2)
-        .Add(m.Speedup(), 2);
+    table.NewRow().Add(m.name).Add(static_cast<std::int64_t>(m.ops)).Add(m.Rate() / 1e6, 2);
     hib::JsonObject run;
     run.Set("name", m.name)
         .Set("ops", hib::JsonValue::UInt(m.ops))
-        .Set("legacy_events_per_sec", m.LegacyRate())
-        .Set("events_per_sec", m.NewRate())
-        .Set("speedup", m.Speedup());
+        .Set("events_per_sec", m.Rate());
     runs.Push(hib::JsonValue::Raw(run.Dump()));
-    min_speedup = std::min(min_speedup, m.Speedup());
     total_ops += m.ops;
-    total_legacy_seconds += m.legacy_seconds;
-    total_new_seconds += m.new_seconds;
+    total_seconds += m.seconds;
   }
   // The headline number: events/sec over the whole suite of mixes, i.e. total
-  // work divided by total wall time per queue.  Per-mix speedups above show
-  // where it comes from.
-  double aggregate_legacy = static_cast<double>(total_ops) / total_legacy_seconds;
-  double aggregate_new = static_cast<double>(total_ops) / total_new_seconds;
-  double aggregate_speedup = total_legacy_seconds / total_new_seconds;
-  table.NewRow()
-      .Add("aggregate")
-      .Add(static_cast<std::int64_t>(total_ops))
-      .Add(aggregate_legacy / 1e6, 2)
-      .Add(aggregate_new / 1e6, 2)
-      .Add(aggregate_speedup, 2);
+  // work divided by total wall time.
+  double aggregate = static_cast<double>(total_ops) / total_seconds;
+  table.NewRow().Add("aggregate").Add(static_cast<std::int64_t>(total_ops)).Add(aggregate / 1e6, 2);
   std::printf("%s\n", table.ToString().c_str());
-  std::printf("aggregate speedup %.2fx, min per-mix speedup %.2fx (checksum %.3f)\n",
-              aggregate_speedup, min_speedup, sink);
+  std::printf("checksum %.3f\n", sink);
 
   hib::JsonObject payload;
   payload.Set("bench", std::string("eventqueue"))
       .Set("quick", hib::JsonValue::Bool(quick))
-      .Set("aggregate_legacy_events_per_sec", aggregate_legacy)
-      .Set("aggregate_events_per_sec", aggregate_new)
-      .Set("aggregate_speedup", aggregate_speedup)
-      .Set("min_speedup", min_speedup)
+      .Set("aggregate_events_per_sec", aggregate)
       .Set("runs", runs);
   hib::WriteBenchJson("eventqueue", payload);
   return 0;

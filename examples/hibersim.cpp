@@ -89,12 +89,25 @@ bool SchemeByName(const std::string& name, hib::Scheme* scheme) {
   return false;
 }
 
+// Reports `key` unless `value` is positive (or zero, with `allow_zero`).  A
+// negative rate makes arrival gaps negative, so the run never reaches its
+// horizon; a non-positive horizon replays nothing.
+bool CheckValue(const char* key, double value, bool allow_zero = false) {
+  if (value > 0.0 || (allow_zero && value == 0.0)) {
+    return true;
+  }
+  std::fprintf(stderr, "config: key '%s': must be %s, got %g\n", key,
+               allow_zero ? "non-negative" : "positive", value);
+  return false;
+}
+
 std::unique_ptr<hib::WorkloadSource> MakeWorkload(hib::Config& config,
                                                   const hib::ArrayParams& array) {
   std::string kind = config.GetString("workload.kind", "oltp");
   std::string trace_path = config.GetString("workload.trace_path");  // touch: used for spc
   double hours = config.GetDouble("workload.hours", 24.0);
   auto seed = static_cast<std::uint64_t>(config.GetInt("workload.seed", 42));
+  bool valid = CheckValue("workload.hours", hours);
   if (kind == "oltp") {
     hib::OltpWorkloadParams wp;
     wp.address_space_sectors = array.DataSectors();
@@ -102,7 +115,9 @@ std::unique_ptr<hib::WorkloadSource> MakeWorkload(hib::Config& config,
     wp.peak_iops = config.GetDouble("workload.peak_iops", 200.0);
     wp.trough_iops = config.GetDouble("workload.trough_iops", 60.0);
     wp.seed = seed;
-    return std::make_unique<hib::OltpWorkload>(wp);
+    valid = CheckValue("workload.peak_iops", wp.peak_iops) && valid;
+    valid = CheckValue("workload.trough_iops", wp.trough_iops, true) && valid;
+    return valid ? std::make_unique<hib::OltpWorkload>(wp) : nullptr;
   }
   if (kind == "cello") {
     hib::CelloWorkloadParams wp;
@@ -111,7 +126,9 @@ std::unique_ptr<hib::WorkloadSource> MakeWorkload(hib::Config& config,
     wp.peak_iops = config.GetDouble("workload.peak_iops", 90.0);
     wp.trough_iops = config.GetDouble("workload.trough_iops", 4.0);
     wp.seed = seed;
-    return std::make_unique<hib::CelloWorkload>(wp);
+    valid = CheckValue("workload.peak_iops", wp.peak_iops) && valid;
+    valid = CheckValue("workload.trough_iops", wp.trough_iops, true) && valid;
+    return valid ? std::make_unique<hib::CelloWorkload>(wp) : nullptr;
   }
   if (kind == "constant") {
     hib::ConstantWorkloadParams wp;
@@ -119,9 +136,13 @@ std::unique_ptr<hib::WorkloadSource> MakeWorkload(hib::Config& config,
     wp.duration_ms = hib::Hours(hours);
     wp.iops = config.GetDouble("workload.peak_iops", 50.0);
     wp.seed = seed;
-    return std::make_unique<hib::ConstantWorkload>(wp);
+    valid = CheckValue("workload.peak_iops", wp.iops) && valid;
+    return valid ? std::make_unique<hib::ConstantWorkload>(wp) : nullptr;
   }
   if (kind == "spc") {
+    if (!valid) {
+      return nullptr;
+    }
     const std::string& path = trace_path;
     if (path.empty()) {
       std::fprintf(stderr, "workload.kind = spc requires workload.trace_path\n");

@@ -43,20 +43,20 @@ ArrayController::ArrayController(Simulator* sim, ArrayParams params)
     disks_.push_back(std::make_unique<Disk>(sim_, params_.disk, i,
                                             params_.seed + static_cast<std::uint64_t>(i)));
   }
-  MetricsRegistry& metrics = sim_->obs().metrics;
-  obs_reads_ = &metrics.GetCounter("array.reads");
-  obs_writes_ = &metrics.GetCounter("array.writes");
-  obs_cache_hits_ = &metrics.GetCounter("array.cache_hits");
-  obs_subops_ = &metrics.GetCounter("array.subops");
-  obs_migrations_ = &metrics.GetCounter("array.migrations");
-  obs_rebuilt_extents_ = &metrics.GetCounter("array.rebuilt_extents");
-  obs_response_ms_ = &metrics.GetHistogram("array.response_ms");
+  obs_response_ms_ = &sim_->obs().metrics.GetHistogram("array.response_ms");
 }
 
 void ArrayController::FlushObs() {
   for (auto& d : disks_) {
     d->FlushObs();
   }
+  MetricsRegistry& metrics = sim_->obs().metrics;
+  metrics.GetCounter("array.reads").Add(stats_.reads);
+  metrics.GetCounter("array.writes").Add(stats_.writes);
+  metrics.GetCounter("array.cache_hits").Add(stats_.cache_hits);
+  metrics.GetCounter("array.subops").Add(stats_.subops);
+  metrics.GetCounter("array.migrations").Add(stats_.migrations_completed);
+  metrics.GetCounter("array.rebuilt_extents").Add(stats_.rebuilt_extents);
 }
 
 PoolHandle ArrayController::AcquireContext(const TraceRecord& record,
@@ -78,10 +78,8 @@ void ArrayController::Submit(const TraceRecord& record, std::function<void(Durat
 
   if (record.is_write) {
     ++stats_.writes;
-    HIB_COUNTER_INC(obs_writes_);
   } else {
     ++stats_.reads;
-    HIB_COUNTER_INC(obs_reads_);
   }
 
   // Temperature accounting per touched extent.
@@ -94,7 +92,6 @@ void ArrayController::Submit(const TraceRecord& record, std::function<void(Durat
 
   if (!record.is_write && cache_.Lookup(record.lba, record.count)) {
     ++stats_.cache_hits;
-    HIB_COUNTER_INC(obs_cache_hits_);
     PoolHandle hit = AcquireContext(record, std::move(done));
     RequestContext& ctx = request_pool_.Get(hit);
     ctx.pending = 1;
@@ -220,7 +217,6 @@ void ArrayController::Submit(const TraceRecord& record, std::function<void(Durat
 void ArrayController::IssueRead(PoolHandle h, int disk_id, SectorAddr sector,
                                 SectorCount count) {
   ++stats_.subops;
-  HIB_COUNTER_INC(obs_subops_);
   DiskRequest req;
   req.sector = sector;
   req.count = count;
@@ -247,7 +243,6 @@ void ArrayController::IssueWritePhase(PoolHandle h) {
   // keeps any spilled capacity for the slot's next tenant.
   for (const PendingWrite& w : ctx.phase2) {
     ++stats_.subops;
-    HIB_COUNTER_INC(obs_subops_);
     DiskRequest req;
     req.sector = w.sector;
     req.count = w.count;
@@ -265,7 +260,7 @@ void ArrayController::IssueWritePhase(PoolHandle h) {
 void ArrayController::FinishLogical(PoolHandle h) {
   RequestContext& ctx = request_pool_.Get(h);
   Duration response = sim_->Now() - ctx.arrival;
-  HIB_HIST_RECORD(obs_response_ms_, response / Ms(1.0));
+  obs_response_ms_->Record(response / Ms(1.0));
   HIB_TRACE_SPAN(sim_->obs().tracer, SpanKind::kRequest, kTrackArray,
                  ctx.record.is_write ? "write" : (ctx.cache_hit ? "read(hit)" : "read"),
                  ctx.arrival, sim_->Now(), ctx.obs_id,
@@ -297,7 +292,6 @@ void ArrayController::FinishLogical(PoolHandle h) {
 void ArrayController::SubmitRaw(int disk_id, DiskRequest request) {
   HIB_CHECK(disk_id >= 0 && disk_id < num_disks_total()) << "disk id " << disk_id;
   ++stats_.subops;
-  HIB_COUNTER_INC(obs_subops_);
   disks_[static_cast<std::size_t>(disk_id)]->Submit(std::move(request));
 }
 
@@ -409,7 +403,6 @@ void ArrayController::RebuildNextExtent(int disk_id) {
   if (rebuild.reads_left == 0) {
     // Nothing to reconstruct from; count the extent and move on.
     ++stats_.rebuilt_extents;
-    HIB_COUNTER_INC(obs_rebuilt_extents_);
     RebuildNextExtent(disk_id);
     return;
   }
@@ -445,7 +438,6 @@ void ArrayController::WriteRebuildShare(int disk_id) {
   req.background = true;
   req.on_complete = [this, disk_id](SimTime) {
     ++stats_.rebuilt_extents;
-    HIB_COUNTER_INC(obs_rebuilt_extents_);
     RebuildNextExtent(disk_id);
   };
   SubmitRaw(disk_id, std::move(req));
@@ -582,7 +574,6 @@ void ArrayController::DoMigrationWrites(PoolHandle mig) {
       layout_.SetGroup(extent, target_group);
       ++stats_.migrations_completed;
       stats_.migrated_sectors += params_.extent_sectors;
-      HIB_COUNTER_INC(obs_migrations_);
       HIB_TRACE_SPAN(sim_->obs().tracer, SpanKind::kMigration, kTrackArray, "migrate",
                      mig_start, sim_->Now(), extent, static_cast<double>(target_group));
       --active_migrations_;

@@ -181,8 +181,9 @@ class HIB_SHARD_LOCAL ArrayController {
   // Sum of per-disk metered energy (data + cache disks), through now.
   DiskEnergy TotalEnergy() const;
 
-  // Closes every disk's open power-state span.  Call once at end of run,
-  // before exporting a trace.
+  // Closes every disk's open power-state span and adds the array's and the
+  // disks' counts to the registry.  Call once at end of run, before
+  // exporting a trace or taking a metrics snapshot.
   void FlushObs();
 
  private:
@@ -279,14 +280,7 @@ class HIB_SHARD_LOCAL ArrayController {
   };
   std::map<int, RebuildState> rebuilds_;
 
-  // Observability instruments (resolved once; bumped via the HIB_* macros).
-  Counter* obs_reads_;
-  Counter* obs_writes_;
-  Counter* obs_cache_hits_;
-  Counter* obs_subops_;
-  Counter* obs_migrations_;
-  Counter* obs_rebuilt_extents_;
-  LogLinearHistogram* obs_response_ms_;
+  LogLinearHistogram* obs_response_ms_;  // resolved once from the registry
   std::int64_t obs_req_seq_ = 0;  // logical-request trace id counter
 };
 

@@ -38,9 +38,6 @@ Disk::Disk(Simulator* sim, DiskParams params, int id, std::uint64_t seed)
   last_account_ = sim_->Now();
   last_activity_ = sim_->Now();
   MetricsRegistry& metrics = sim_->obs().metrics;
-  obs_spin_ups_ = &metrics.GetCounter("disk.spin_ups");
-  obs_spin_downs_ = &metrics.GetCounter("disk.spin_downs");
-  obs_rpm_changes_ = &metrics.GetCounter("disk.rpm_changes");
   obs_queue_wait_ms_ = &metrics.GetHistogram("disk.queue_wait_ms");
   obs_service_ms_ = &metrics.GetHistogram("disk.service_ms");
   obs_state_since_ = sim_->Now();
@@ -125,6 +122,10 @@ void Disk::FlushObs() {
   HIB_TRACE_SPAN(sim_->obs().tracer, SpanKind::kPowerState, id_, DiskPowerStateName(state_),
                  obs_state_since_, sim_->Now(), id_, current_power_ / Watts(1.0));
   obs_state_since_ = sim_->Now();
+  MetricsRegistry& metrics = sim_->obs().metrics;
+  metrics.GetCounter("disk.spin_ups").Add(stats_.spin_ups);
+  metrics.GetCounter("disk.spin_downs").Add(stats_.spin_downs);
+  metrics.GetCounter("disk.rpm_changes").Add(stats_.rpm_changes);
 }
 
 DiskEnergy Disk::MeteredEnergy() const {
@@ -205,7 +206,6 @@ bool Disk::SpinDown() {
                           : Watts{};
   EnterState(DiskPowerState::kSpinningDown);
   ++stats_.spin_downs;
-  HIB_COUNTER_INC(obs_spin_downs_);
   sim_->ScheduleIn(params_.spin_down_ms, [this] { FinishSpinDown(); });
   return true;
 }
@@ -232,7 +232,6 @@ void Disk::BeginSpinUp() {
   transition_power_ = t > Duration{} ? e / t : Watts{};
   EnterState(DiskPowerState::kSpinningUp);
   ++stats_.spin_ups;
-  HIB_COUNTER_INC(obs_spin_ups_);
   sim_->ScheduleIn(t, [this] { FinishSpinUp(); });
 }
 
@@ -252,7 +251,6 @@ void Disk::BeginRpmChange() {
   transition_power_ = t > Duration{} ? e / t : Watts{};
   EnterState(DiskPowerState::kChangingRpm);
   ++stats_.rpm_changes;
-  HIB_COUNTER_INC(obs_rpm_changes_);
   int destination = target_level_;
   sim_->ScheduleIn(t, [this, destination] {
     level_ = destination;
@@ -318,34 +316,29 @@ void Disk::StartService() {
   head_cylinder_ = cylinder;
   next_sequential_sector_ = req.sector + req.count;
   EnterState(DiskPowerState::kBusy);
-  stats_.service_time_ms.Add(service);
   stats_.window_busy_ms += service;
 
-  SimTime done = sim_->Now() + service;
-#if HIB_OBS
-  {
-    SimTime now = sim_->Now();
-    if (!req.background) {
-      HIB_HIST_RECORD(obs_queue_wait_ms_, (now - req.arrival) / Ms(1.0));
-    }
-    HIB_HIST_RECORD(obs_service_ms_, service / Ms(1.0));
-    Tracer& tracer = sim_->obs().tracer;
-    if (tracer.enabled()) {
-      // One id per sub-op ties the async wait span to the service breakdown.
-      std::int64_t subop = (static_cast<std::int64_t>(id_) << 40) +
-                           static_cast<std::int64_t>(obs_subop_seq_++);
-      tracer.Span(SpanKind::kQueueWait, id_, req.background ? "wait(bg)" : "wait",
-                  req.arrival, now, subop, static_cast<double>(QueueDepth()));
-      tracer.Span(SpanKind::kService, id_, req.is_write ? "write" : "read", now, done, subop,
-                  static_cast<double>(req.count));
-      if (seek + rotation > Duration{}) {
-        tracer.Span(SpanKind::kSeek, id_, "seek+rot", now, now + seek + rotation, subop);
-      }
-      tracer.Span(SpanKind::kTransfer, id_, "transfer", now + seek + rotation,
-                  now + seek + rotation + transfer, subop);
-    }
+  SimTime now = sim_->Now();
+  SimTime done = now + service;
+  if (!req.background) {
+    obs_queue_wait_ms_->Record((now - req.arrival) / Ms(1.0));
   }
-#endif
+  obs_service_ms_->Record(service / Ms(1.0));
+  Tracer& tracer = sim_->obs().tracer;
+  if (tracer.enabled()) {
+    // One id per sub-op ties the async wait span to the service breakdown.
+    std::int64_t subop = (static_cast<std::int64_t>(id_) << 40) +
+                         static_cast<std::int64_t>(obs_subop_seq_++);
+    tracer.Span(SpanKind::kQueueWait, id_, req.background ? "wait(bg)" : "wait", req.arrival,
+                now, subop, static_cast<double>(QueueDepth()));
+    tracer.Span(SpanKind::kService, id_, req.is_write ? "write" : "read", now, done, subop,
+                static_cast<double>(req.count));
+    if (seek + rotation > Duration{}) {
+      tracer.Span(SpanKind::kSeek, id_, "seek+rot", now, now + seek + rotation, subop);
+    }
+    tracer.Span(SpanKind::kTransfer, id_, "transfer", now + seek + rotation,
+                now + seek + rotation + transfer, subop);
+  }
   sim_->ScheduleIn(service, [this, done, r = std::move(req)]() mutable {
     FinishService(done, std::move(r));
   });
@@ -358,7 +351,6 @@ void Disk::FinishService(SimTime completion_time, DiskRequest request) {
     ++stats_.background_completed;
   } else {
     ++stats_.foreground_completed;
-    stats_.response_time_ms.Add(completion_time - request.arrival);
     stats_.window_response_sum_ms += completion_time - request.arrival;
     ++stats_.window_completions;
   }

@@ -26,7 +26,6 @@
 #include "src/sim/simulator.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
-#include "src/util/stats.h"
 #include "src/util/units.h"
 
 namespace hib {
@@ -93,8 +92,6 @@ struct DiskStats {
   std::int64_t spin_ups = 0;
   std::int64_t spin_downs = 0;
   std::int64_t rpm_changes = 0;
-  RunningStats service_time_ms;    // mechanical time only
-  RunningStats response_time_ms;   // queue wait + service (foreground only)
 
   // Rolling window counters; policies read these each epoch and call
   // ResetWindow() to start the next measurement interval.
@@ -181,7 +178,9 @@ class Disk {
   Duration ExpectedServiceTime(SectorCount count, int level) const;
 
   // Emits the still-open power-state residency span (the tail of the
-  // timeline).  Call once at end of run, before exporting a trace.
+  // timeline) and adds this disk's spin-up, spin-down and RPM-change counts
+  // to the registry.  Call once at end of run, before exporting a trace or
+  // taking a metrics snapshot.
   void FlushObs();
 
  private:
@@ -220,11 +219,7 @@ class Disk {
   SimTime last_activity_;
   DiskStats stats_;
 
-  // Observability instruments, resolved once from the simulator's registry;
-  // bumps go through the HIB_* macros (no-ops when HIB_OBS=0).
-  Counter* obs_spin_ups_;
-  Counter* obs_spin_downs_;
-  Counter* obs_rpm_changes_;
+  // Live histograms, resolved once from the simulator's registry.
   LogLinearHistogram* obs_queue_wait_ms_;
   LogLinearHistogram* obs_service_ms_;
   SimTime obs_state_since_;           // start of the current power-state span

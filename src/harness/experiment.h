@@ -50,8 +50,8 @@ struct ExperimentResult {
   std::vector<SeriesPoint> series;
 
   // Snapshot of the run's metrics registry (counters/gauges/histograms from
-  // src/obs).  Always populated; empty when HIB_OBS=0 compiled the
-  // instrumentation out.
+  // src/obs), taken after the policy's Finish() and the array's FlushObs()
+  // have published their end-of-run counts.
   MetricsSnapshot metrics;
 
   // Mean power over the run; Joules / Duration is a Watts.

@@ -49,6 +49,10 @@ void HibernatorPolicy::Finish() {
                    boost_started_, sim_->Now(), boosts_, 0.0);
     boost_started_ = sim_->Now();
   }
+  MetricsRegistry& metrics = sim_->obs().metrics;
+  metrics.GetCounter("hibernator.epochs").Add(epochs_completed_);
+  metrics.GetCounter("hibernator.boosts").Add(boosts_);
+  metrics.GetCounter("hibernator.migrations_requested").Add(migrations_requested_);
 }
 
 std::vector<Frequency> HibernatorPolicy::MeasureGroupLambdas() const {
@@ -213,12 +217,10 @@ void HibernatorPolicy::EpochTick() {
       input.epoch_ms = params_.epoch_ms;
       input.current_levels = group_levels_;
       input.disk = &array_->params().disk;
-#if HIB_OBS
       input.telemetry.evaluations =
           &sim_->obs().metrics.GetCounter("hibernator.cr_candidates");
       input.telemetry.predicted_response_ms =
           &sim_->obs().metrics.GetHistogram("hibernator.cr_predicted_response_ms");
-#endif
       CrResult result = SolveCr(input);
       levels = result.levels;
       last_predicted_response_ms_ = result.predicted_response_ms * last_scale_;
@@ -244,7 +246,6 @@ void HibernatorPolicy::EpochTick() {
   }
   array_->stats().ResetWindow();
   ++epochs_completed_;
-  HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("hibernator.epochs"));
 }
 
 void HibernatorPolicy::ApplyGroupLevel(int group, int level) {
@@ -318,8 +319,6 @@ void HibernatorPolicy::PlanMigrations() {
       --budget;
     }
   }
-  HIB_COUNTER_ADD(&sim_->obs().metrics.GetCounter("hibernator.migrations_requested"),
-                  params_.migration_budget_extents - budget);
 }
 
 void HibernatorPolicy::GuaranteeTick() {
@@ -334,7 +333,6 @@ void HibernatorPolicy::GuaranteeTick() {
     boosted_ = true;
     ++boosts_;
     boost_started_ = sim_->Now();
-    HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("hibernator.boosts"));
     BoostAllFull();
     array_->PauseMigration(true);
     HIB_LOG(kInfo) << Name() << " BOOST at " << sim_->Now() / Hours(1.0) << "h (credit "

@@ -1,10 +1,9 @@
 // Metrics registry: named counters, gauges and log-linear histograms.
 //
-// Every Simulator owns one registry (via hib::Observability); components
-// resolve their instruments once at construction (GetCounter et al. return
-// stable references) and bump them through the HIB_COUNTER_* / HIB_HIST_*
-// macros from src/obs/obs.h, which compile out entirely when HIB_OBS=0 —
-// the same discipline HIB_DCHECK uses.
+// Every Simulator owns one registry (via hib::Observability).  Components
+// that feed an instrument live resolve it once at construction (GetCounter
+// et al. return stable references); counts a component already keeps in its
+// own stats are added once at end of run instead (see src/obs/obs.h).
 //
 // A registry is single-simulation state: no locks, no globals (HIB006).
 // Cross-run aggregation happens on immutable MetricsSnapshot values, merged

@@ -1,48 +1,34 @@
-// Observability bundle and zero-cost-when-disabled instrumentation macros.
+// Observability bundle and the tracer call-site macros.
 //
 // Every Simulator owns an Observability (metrics registry + tracer); all
-// simulated components reach it through their Simulator pointer.  Call sites
-// instrument through the macros below, which follow the HIB_DCHECK
-// compile-out discipline: with -DHIB_OBS=0 (CMake option HIB_OBS=OFF) every
-// macro expands to `((void)0)` — no argument evaluation, no branches, no
-// code.  Multi-statement instrumentation blocks use `#if HIB_OBS` directly,
-// mirroring the HIB_VALIDATE blocks in src/sim and src/disk.
+// simulated components reach it through their Simulator pointer.
 //
-// With HIB_OBS=1 (the default):
-//   - counter/gauge/histogram macros are an unconditional pointer bump — the
-//     instruments were resolved once at component construction;
-//   - trace macros test Tracer::enabled() first, so span argument
-//     expressions only evaluate when a trace was actually requested.
+// One store per statistic: a count a component already keeps in its own
+// stats (ArrayStats, DiskStats, a policy's counters) is published to the
+// registry once, at end of run, by its owner's FlushObs() or Finish();
+// histograms and decision counters with no field twin are fed live through
+// the registry's instruments.  Tracing is opt-in at runtime: the macros
+// below test Tracer::enabled() first, so span argument expressions only
+// evaluate when a trace was actually requested.
 #ifndef HIBERNATOR_SRC_OBS_OBS_H_
 #define HIBERNATOR_SRC_OBS_OBS_H_
 
 #include "src/obs/metrics.h"
 #include "src/obs/tracer.h"
 
-#ifndef HIB_OBS
+// Observability is always compiled in.  This constant is not a build option;
+// it remains only because BENCH JSON provenance still reports it.
 #define HIB_OBS 1
-#endif
 
 namespace hib {
 
-// Per-simulator observability state.  The classes always compile (exporters,
-// tests and the harness need the types in every configuration); HIB_OBS only
-// controls whether instrumentation call sites feed them.
+// Per-simulator observability state.
 struct Observability {
   MetricsRegistry metrics;
   Tracer tracer;
 };
 
 }  // namespace hib
-
-#if HIB_OBS
-
-// `counter` / `gauge` / `hist` are pointers resolved from the registry at
-// component construction (never null once attached).
-#define HIB_COUNTER_ADD(counter, n) ((counter)->Add(n))
-#define HIB_COUNTER_INC(counter) ((counter)->Add(1))
-#define HIB_GAUGE_SET(gauge, v) ((gauge)->Set(v))
-#define HIB_HIST_RECORD(hist, v) ((hist)->Record(v))
 
 // `tracer` is a Tracer lvalue (typically sim->obs().tracer).  Arguments after
 // it are only evaluated when tracing is enabled.
@@ -59,16 +45,5 @@ struct Observability {
       (tracer).Instant((kind), (track), (name), (at), (id), (arg));      \
     }                                                                    \
   } while (false)
-
-#else  // !HIB_OBS
-
-#define HIB_COUNTER_ADD(counter, n) ((void)0)
-#define HIB_COUNTER_INC(counter) ((void)0)
-#define HIB_GAUGE_SET(gauge, v) ((void)0)
-#define HIB_HIST_RECORD(hist, v) ((void)0)
-#define HIB_TRACE_SPAN(tracer, kind, track, name, start, end, id, arg) ((void)0)
-#define HIB_TRACE_INSTANT(tracer, kind, track, name, at, id, arg) ((void)0)
-
-#endif  // HIB_OBS
 
 #endif  // HIBERNATOR_SRC_OBS_OBS_H_

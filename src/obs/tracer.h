@@ -2,10 +2,10 @@
 // per-simulator ring buffer.
 //
 // Recording is opt-in at runtime (Enable(capacity)); when disabled, the
-// HIB_TRACE_* macros in src/obs/obs.h reduce to one predicted-false branch —
-// and to nothing at all when HIB_OBS=0.  The ring drops the *oldest* events
-// on overflow so the tail of a long run (the part a trace viewer usually
-// needs) survives; `dropped()` reports how much history was lost.
+// HIB_TRACE_* macros in src/obs/obs.h reduce to one predicted-false branch.
+// The ring drops the *oldest* events on overflow so the tail of a long run
+// (the part a trace viewer usually needs) survives; `dropped()` reports how
+// much history was lost.
 //
 // Span taxonomy (see DESIGN.md "Observability" for the full map):
 //   kPowerState  one span per power-state residency, per disk

@@ -30,7 +30,7 @@ void DrpmPolicy::ControlTick() {
 
     if (depth >= params_.queue_up_watermark) {
       disk.SetTargetRpm(dp.max_rpm());
-      HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.rpm_up_decisions"));
+      sim_->obs().metrics.GetCounter("policy.rpm_up_decisions").Add(1);
       HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "rpm-max",
                         sim_->Now(), i, static_cast<double>(dp.max_rpm()));
       continue;
@@ -38,12 +38,12 @@ void DrpmPolicy::ControlTick() {
     int level = dp.LevelOf(disk.target_rpm());
     if (utilization > params_.utilization_high && level < dp.num_speeds() - 1) {
       disk.SetTargetRpm(dp.speeds[static_cast<std::size_t>(level + 1)].rpm);
-      HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.rpm_up_decisions"));
+      sim_->obs().metrics.GetCounter("policy.rpm_up_decisions").Add(1);
       HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "rpm-up",
                         sim_->Now(), i, static_cast<double>(disk.target_rpm()));
     } else if (depth == 0 && utilization < params_.utilization_low && level > 0) {
       disk.SetTargetRpm(dp.speeds[static_cast<std::size_t>(level - 1)].rpm);
-      HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.rpm_down_decisions"));
+      sim_->obs().metrics.GetCounter("policy.rpm_down_decisions").Add(1);
       HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "rpm-down",
                         sim_->Now(), i, static_cast<double>(disk.target_rpm()));
     }

@@ -36,11 +36,9 @@ void MaidPolicy::Attach(Simulator* sim, ArrayController* array) {
     int cache_disk = LookupCache(extent);
     if (cache_disk >= 0) {
       ++cache_hits_;
-      HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.maid_cache_hits"));
       return cache_disk;
     }
     ++cache_misses_;
-    HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.maid_cache_misses"));
     return intended_disk;
   });
 
@@ -63,6 +61,13 @@ void MaidPolicy::Attach(Simulator* sim, ArrayController* array) {
   sim_->SchedulePeriodic(params_.poll_period_ms, params_.poll_period_ms, [this] { Poll(); });
 }
 
+void MaidPolicy::Finish() {
+  MetricsRegistry& metrics = sim_->obs().metrics;
+  metrics.GetCounter("policy.maid_cache_hits").Add(cache_hits_);
+  metrics.GetCounter("policy.maid_cache_misses").Add(cache_misses_);
+  metrics.GetCounter("policy.maid_copies_started").Add(copies_started_);
+}
+
 int MaidPolicy::LookupCache(std::int64_t extent) {
   auto it = resident_.find(extent);
   if (it == resident_.end()) {
@@ -80,7 +85,6 @@ void MaidPolicy::InsertCache(std::int64_t extent) {
   lru_.push_front(extent);
   resident_[extent] = CacheEntry{cache_disk, lru_.begin()};
   ++copies_started_;
-  HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.maid_copies_started"));
 
   // Background copy-in: one streaming write of the extent image.  (The read
   // side already happened — the demand miss fetched the data.)
@@ -105,7 +109,7 @@ void MaidPolicy::Poll() {
     Disk& disk = array_->disk(i);
     if (disk.FullyIdle() && sim_->Now() - disk.last_activity() >= threshold_ms_) {
       if (disk.SpinDown()) {
-        HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.spin_down_decisions"));
+        sim_->obs().metrics.GetCounter("policy.spin_down_decisions").Add(1);
         HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "spin-down",
                           sim_->Now(), i, static_cast<double>(i));
       }

@@ -37,6 +37,8 @@ class MaidPolicy : public PowerPolicy {
   std::string Describe() const override;
 
   void Attach(Simulator* sim, ArrayController* array) override;
+  // Adds the hit, miss and copy counts to the registry.
+  void Finish() override;
 
   std::int64_t cache_hits() const { return cache_hits_; }
   std::int64_t cache_misses() const { return cache_misses_; }

@@ -45,7 +45,7 @@ void PdcPolicy::Reorganize() {
     int target = static_cast<int>(static_cast<std::int64_t>(rank) / per_group);
     if (layout.GroupOf(extent) != target) {
       array_->RequestMigration(extent, target);
-      HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.migrations_requested"));
+      sim_->obs().metrics.GetCounter("policy.migrations_requested").Add(1);
       --budget;
     }
   }
@@ -59,7 +59,7 @@ void PdcPolicy::Poll() {
     Disk& disk = array_->disk(i);
     if (disk.FullyIdle() && sim_->Now() - disk.last_activity() >= threshold_ms_) {
       if (disk.SpinDown()) {
-        HIB_COUNTER_INC(&sim_->obs().metrics.GetCounter("policy.spin_down_decisions"));
+        sim_->obs().metrics.GetCounter("policy.spin_down_decisions").Add(1);
         HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "spin-down",
                           sim_->Now(), i, static_cast<double>(i));
       }

@@ -26,7 +26,8 @@ class PowerPolicy {
   // the policy's use of them.
   virtual void Attach(Simulator* sim, ArrayController* array) = 0;
 
-  // Called after the trace drains, before metrics are read.
+  // Called once after the trace drains, before metrics are read.  Policies
+  // close open trace spans and add their end-of-run counts to the registry.
   virtual void Finish() {}
 
   // One-line human-readable parameter summary for reports.

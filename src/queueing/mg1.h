@@ -22,7 +22,8 @@ namespace hib {
 
 // Optional instrumentation feed for analytic evaluations (CR's candidate
 // search).  Null pointers make Observe a no-op, so callers wire it only when
-// a registry is in play; the policy leaves both null when HIB_OBS=0.
+// a registry is in play (the Hibernator policy does; direct SolveCr callers
+// need not).
 struct QueueingTelemetry {
   Counter* evaluations = nullptr;
   LogLinearHistogram* predicted_response_ms = nullptr;

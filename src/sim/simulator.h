@@ -68,9 +68,8 @@ class HIB_SHARD_LOCAL Simulator {
   SimValidator& validator() { return validator_; }
 #endif
 
-  // Per-simulation metrics registry + tracer.  Components resolve their
-  // instruments here at construction; instrumentation call sites go through
-  // the HIB_COUNTER_* / HIB_TRACE_* macros (no-ops when HIB_OBS=0).
+  // Per-simulation metrics registry + tracer (see src/obs/obs.h for who
+  // publishes what, and when).
   Observability& obs() { return obs_; }
   const Observability& obs() const { return obs_; }
 

@@ -40,6 +40,8 @@ OltpWorkload::OltpWorkload(OltpWorkloadParams params)
       zipf_(std::max<std::int64_t>(1, params.address_space_sectors / params.chunk_sectors),
             params.zipf_theta) {
   HIB_CHECK_GT(params_.address_space_sectors, 0) << "workload needs a positive address space";
+  HIB_CHECK_GT(params_.peak_iops, 0.0) << "peak_iops must be positive";
+  HIB_CHECK_GE(params_.trough_iops, 0.0) << "trough_iops must be non-negative";
 }
 
 double OltpWorkload::RateAt(SimTime t) const {
@@ -88,6 +90,8 @@ CelloWorkload::CelloWorkload(CelloWorkloadParams params)
       zipf_(std::max<std::int64_t>(1, params.address_space_sectors / params.chunk_sectors),
             params.zipf_theta) {
   HIB_CHECK_GT(params_.address_space_sectors, 0) << "workload needs a positive address space";
+  HIB_CHECK_GT(params_.peak_iops, 0.0) << "peak_iops must be positive";
+  HIB_CHECK_GE(params_.trough_iops, 0.0) << "trough_iops must be non-negative";
 }
 
 double CelloWorkload::RateAt(SimTime t) const {
@@ -168,6 +172,7 @@ void CelloWorkload::Reset() {
 ConstantWorkload::ConstantWorkload(ConstantWorkloadParams params)
     : params_(params), rng_(params.seed) {
   HIB_CHECK_GT(params_.address_space_sectors, 0) << "workload needs a positive address space";
+  HIB_CHECK_GT(params_.iops, 0.0) << "iops must be positive";
 }
 
 bool ConstantWorkload::Next(TraceRecord* out) {

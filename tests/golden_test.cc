@@ -146,7 +146,7 @@ void WriteGolden(const std::string& workload, const std::map<std::string, double
     out << "  \"" << key << "\": " << buf << (++i < values.size() ? "," : "") << "\n";
   }
   out << "}\n";
-  std::printf("golden: wrote %zu keys to %s\n",  // simlint: allow(HIB003)
+  std::printf("golden: wrote %zu keys to %s\n",  // NOLINT(HIB003)
               values.size(), path.c_str());
 }
 

@@ -4,20 +4,33 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/harness/parallel.h"
 #include "src/harness/schemes.h"
+#include "src/hibernator/hibernator_policy.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/tracer.h"
+#include "src/policy/maid.h"
 #include "src/trace/synthetic.h"
 
 namespace hib {
 namespace {
+
+// A snapshot counter's value, or -1 when the snapshot lacks it.
+std::int64_t CounterOrMissing(const MetricsSnapshot& m, const std::string& name) {
+  for (const auto& c : m.counters) {
+    if (c.name == name) {
+      return c.count;
+    }
+  }
+  return -1;
+}
 
 // ------------------------------------------------ LogLinearHistogram -------
 
@@ -183,17 +196,82 @@ TEST(MergeMetrics, DeterministicAcrossShardCounts) {
     EXPECT_EQ(sequential.histograms[i].buckets, threaded.histograms[i].buckets);
   }
 
-#if HIB_OBS
   // The instrumentation actually fired: every scheme submitted requests.
-  bool found = false;
-  for (const auto& c : sequential.counters) {
-    if (c.name == "array.reads") {
-      found = true;
-      EXPECT_GT(c.count, 0);
-    }
+  EXPECT_GT(CounterOrMissing(sequential, "array.reads"), 0);
+}
+
+// One store per statistic: each count in the end-of-run snapshot is its
+// owner's own field, added once by FlushObs() or Finish().  Every scheme
+// replays a short Cello stream that exercises spin-downs, RPM changes,
+// migrations, boosts and MAID hits; the snapshot must agree with the result
+// fields and the policy accessors.
+TEST(MetricsRegistry, PublishedCountsMatchTheirOwners) {
+  ArrayParams base;
+  base.num_disks = 8;
+  base.group_width = 4;
+  base.disk = MakeUltrastar36Z15MultiSpeed(5);
+
+  auto make_workload = [](const ArrayParams& array) -> std::unique_ptr<WorkloadSource> {
+    CelloWorkloadParams wp;
+    wp.address_space_sectors = array.DataSectors();
+    wp.duration_ms = Hours(3.0);
+    return std::make_unique<CelloWorkload>(wp);
+  };
+
+  std::vector<ExperimentSpec> specs;
+  // Per spec: the counter values its policy reports through its accessors.
+  std::vector<std::map<std::string, std::int64_t>> expected;
+  for (Scheme scheme : {Scheme::kBase, Scheme::kTpm, Scheme::kTpmAdaptive, Scheme::kDrpm,
+                        Scheme::kPdc, Scheme::kMaid, Scheme::kHibernator,
+                        Scheme::kHibernatorNoMigration, Scheme::kHibernatorNoBoost,
+                        Scheme::kHibernatorUtilThreshold}) {
+    SchemeConfig cfg;
+    cfg.scheme = scheme;
+    cfg.goal_ms = Ms(20.0);
+    cfg.epoch_ms = Hours(1.0);
+    ExperimentSpec spec = SpecForScheme(cfg, base, make_workload);
+    spec.post_run = [&expected, i = specs.size()](const PowerPolicy& policy,
+                                                   const ExperimentResult&) {
+      std::map<std::string, std::int64_t>& want = expected[i];
+      if (const auto* maid = dynamic_cast<const MaidPolicy*>(&policy)) {
+        want["policy.maid_cache_hits"] = maid->cache_hits();
+        want["policy.maid_cache_misses"] = maid->cache_misses();
+        want["policy.maid_copies_started"] = maid->copies_started();
+      }
+      if (const auto* hib = dynamic_cast<const HibernatorPolicy*>(&policy)) {
+        want["hibernator.epochs"] = hib->epochs_completed();
+        want["hibernator.boosts"] = hib->boosts();
+        want["hibernator.migrations_requested"] = hib->migrations_requested();
+      }
+    };
+    specs.push_back(std::move(spec));
   }
-  EXPECT_TRUE(found);
-#endif
+  expected.resize(specs.size());
+  std::vector<ExperimentResult> results = RunAll(specs);
+
+  std::map<std::string, std::int64_t> totals;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const ExperimentResult& r = results[i];
+    std::map<std::string, std::int64_t>& want = expected[i];
+    want["disk.spin_ups"] = r.spin_ups;
+    want["disk.spin_downs"] = r.spin_downs;
+    want["disk.rpm_changes"] = r.rpm_changes;
+    want["array.migrations"] = r.migrations;
+    for (const auto& [name, value] : want) {
+      EXPECT_EQ(CounterOrMissing(r.metrics, name), value) << specs[i].name << " " << name;
+      totals[name] += value;
+    }
+    EXPECT_EQ(CounterOrMissing(r.metrics, "array.reads") +
+                  CounterOrMissing(r.metrics, "array.writes"),
+              r.requests)
+        << specs[i].name;
+  }
+  // The run must exercise every published count, or the equalities are vacuous.
+  for (const char* name : {"disk.spin_ups", "disk.spin_downs", "disk.rpm_changes",
+                           "array.migrations", "policy.maid_cache_hits", "hibernator.boosts",
+                           "hibernator.migrations_requested"}) {
+    EXPECT_GT(totals[name], 0) << name;
+  }
 }
 
 // --------------------------------------------------------- Tracer ----------

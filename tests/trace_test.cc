@@ -277,6 +277,33 @@ TEST(ConstantWorkload, RateAndBounds) {
   EXPECT_NEAR(s.MeanSizeKb(), 4.0, 0.01);
 }
 
+// A non-positive rate would make arrival gaps negative (the run never reaches
+// its horizon) or silently clamp them; every generator refuses it up front.
+TEST(OltpWorkloadDeathTest, RejectsNonPositiveRates) {
+  OltpWorkloadParams p = SmallOltp();
+  p.peak_iops = -5.0;
+  EXPECT_DEATH(OltpWorkload{p}, "peak_iops must be positive");
+  p = SmallOltp();
+  p.trough_iops = -1.0;
+  EXPECT_DEATH(OltpWorkload{p}, "trough_iops must be non-negative");
+}
+
+TEST(CelloWorkloadDeathTest, RejectsNonPositiveRates) {
+  CelloWorkloadParams p = SmallCello();
+  p.peak_iops = 0.0;
+  EXPECT_DEATH(CelloWorkload{p}, "peak_iops must be positive");
+  p = SmallCello();
+  p.trough_iops = -1.0;
+  EXPECT_DEATH(CelloWorkload{p}, "trough_iops must be non-negative");
+}
+
+TEST(ConstantWorkloadDeathTest, RejectsNonPositiveRate) {
+  ConstantWorkloadParams p;
+  p.address_space_sectors = kSpace;
+  p.iops = -5.0;
+  EXPECT_DEATH(ConstantWorkload{p}, "iops must be positive");
+}
+
 // ----------------------------------------------------------- Summarize -----
 
 TEST(Summarize, CountsAndDuration) {

@@ -188,7 +188,6 @@ Suppressions (inline, per line):
   ... code ...            // NOLINT(HIB011, HIB014)
   // NOLINTNEXTLINE(HIB012)
   ... code ...
-The v1 spelling `// simlint: allow(HIB004)` remains supported as an alias.
 Only NOLINT comments that explicitly name HIB rules belong to simlint; bare
 `NOLINT` and clang-tidy rule lists are ignored (and never flagged as unused).
 
@@ -213,7 +212,7 @@ import os
 import re
 import sys
 
-SIMLINT_VERSION = "4.1.0"
+SIMLINT_VERSION = "4.1.1"
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_PATHS = ["src", "tests", "bench", "examples"]
@@ -561,8 +560,7 @@ def tokenize(text):
 
 SUPPRESS_RE = re.compile(
     r"(?P<nextline>NOLINTNEXTLINE)\s*\((?P<nl_rules>[^)]*)\)"
-    r"|NOLINT\s*\((?P<rules>[^)]*)\)"
-    r"|simlint:\s*allow\((?P<legacy>[^)]*)\)")
+    r"|NOLINT\s*\((?P<rules>[^)]*)\)")
 
 
 def parse_suppressions(comments):
@@ -579,9 +577,7 @@ def parse_suppressions(comments):
     for ln, body in comments.items():
         for m in SUPPRESS_RE.finditer(body):
             nextline = m.group("nextline") is not None
-            ruletext = m.group("nl_rules") if nextline else (
-                m.group("rules") if m.group("rules") is not None
-                else m.group("legacy"))
+            ruletext = m.group("nl_rules") if nextline else m.group("rules")
             rules = sorted({r.strip() for r in (ruletext or "").split(",")
                             if r.strip().startswith("HIB")})
             if not rules:

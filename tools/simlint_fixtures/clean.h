@@ -7,7 +7,7 @@ namespace hib {
 
 struct CleanParams {
   double lambda_per_ms = 0.0;              // rates are exempt from HIB004
-  double legacy_budget_ms = 0.0;           // simlint: allow(HIB004)
+  double legacy_budget_ms = 0.0;           // NOLINT(HIB004)
 };
 
 }  // namespace hib
