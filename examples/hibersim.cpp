@@ -101,6 +101,29 @@ bool CheckValue(const char* key, double value, bool allow_zero = false) {
   return false;
 }
 
+// Reports every array.* value no array can be built from, naming its key:
+// the simulator would otherwise abort deep inside (a non-positive address
+// space, a zero-width group, a cache of 2^64 lines) or, for data_fraction
+// above 1, run on more logical data than the disks hold.  `array` is the one
+// the run will use: the scheme may have narrowed its group width.
+bool CheckArray(const hib::ArrayParams& array, std::int64_t cache_mb) {
+  bool valid = CheckValue("array.disks", array.num_disks);
+  valid = CheckValue("array.group_width", array.group_width) && valid;
+  valid = CheckValue("array.cache_mb", static_cast<double>(cache_mb), true) && valid;
+  valid = CheckValue("array.data_fraction", array.data_fraction) && valid;
+  if (array.data_fraction > 1.0) {
+    std::fprintf(stderr, "config: key 'array.data_fraction': must be at most 1, got %g\n",
+                 array.data_fraction);
+    valid = false;
+  }
+  if (array.num_disks > 0 && array.group_width > 0 && array.num_disks % array.group_width != 0) {
+    std::fprintf(stderr, "config: key 'array.group_width': %d does not divide array.disks = %d\n",
+                 array.group_width, array.num_disks);
+    valid = false;
+  }
+  return valid;
+}
+
 std::unique_ptr<hib::WorkloadSource> MakeWorkload(hib::Config& config,
                                                   const hib::ArrayParams& array) {
   std::string kind = config.GetString("workload.kind", "oltp");
@@ -203,7 +226,7 @@ int main(int argc, char** argv) {
   array.group_width = static_cast<int>(config.GetInt("array.group_width", 4));
   array.disk = hib::MakeUltrastar36Z15MultiSpeed(
       static_cast<int>(config.GetInt("array.speed_levels", 5)));
-  array.cache_lines = static_cast<std::size_t>(config.GetInt("array.cache_mb", 128)) * 16;
+  std::int64_t cache_mb = config.GetInt("array.cache_mb", 128);
   array.data_fraction = config.GetDouble("array.data_fraction", 0.6);
 
   hib::SchemeConfig scheme;
@@ -211,6 +234,10 @@ int main(int argc, char** argv) {
   scheme.epoch_ms = hib::Hours(config.GetDouble("scheme.epoch_hours", 2.0));
   scheme.migration_budget_extents = config.GetInt("scheme.migration_budget_extents", 4096);
   array = hib::ArrayFor(scheme, array);
+  if (!CheckArray(array, cache_mb)) {
+    return 1;
+  }
+  array.cache_lines = static_cast<std::size_t>(cache_mb) * 16;
 
   auto workload = MakeWorkload(config, array);
 

@@ -30,8 +30,9 @@ LayoutParams MakeLayoutParams(const ArrayParams& p) {
 ArrayController::ArrayController(Simulator* sim, ArrayParams params)
     : sim_(sim),
       params_(params),
+      data_sectors_(params.DataSectors()),
       layout_(MakeLayoutParams(params)),
-      temperatures_(params.NumExtents(), params.temperature_decay),
+      temperatures_(&layout_, params.temperature_decay),
       cache_(params.cache_lines, params.cache_line_sectors) {
   HIB_CHECK_EQ(params_.num_disks % params_.group_width, 0)
       << "group width must divide the data-disk count";
@@ -73,7 +74,7 @@ PoolHandle ArrayController::AcquireContext(const TraceRecord& record,
 
 void ArrayController::Submit(const TraceRecord& record, std::function<void(Duration)> done) {
   HIB_DCHECK(record.lba >= 0 && record.count > 0) << "malformed trace record";
-  HIB_DCHECK_LE(record.lba + record.count, params_.DataSectors())
+  HIB_DCHECK_LE(record.lba + record.count, data_sectors_)
       << "trace record beyond the logical address space";
 
   if (record.is_write) {

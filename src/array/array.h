@@ -250,9 +250,10 @@ class HIB_SHARD_LOCAL ArrayController {
 
   Simulator* sim_;
   ArrayParams params_;
+  SectorAddr data_sectors_;  // params_.DataSectors(), for Submit's bound check
   std::vector<std::unique_ptr<Disk>> disks_;
   LayoutManager layout_;
-  TemperatureTracker temperatures_;
+  TemperatureTracker temperatures_;  // windows live in layout_'s extent records
   LruCache cache_;
   ReadRouter read_router_;
   CompletionHook completion_hook_;

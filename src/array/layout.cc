@@ -17,30 +17,32 @@ LayoutManager::LayoutManager(LayoutParams params) : params_(params) {
   HIB_CHECK_EQ(params_.extent_sectors % params_.stripe_unit_sectors, 0)
       << "extents must hold whole stripe units";
   num_groups_ = params_.num_disks / params_.group_width;
-  extent_group_.resize(static_cast<std::size_t>(params_.num_extents));
+  extents_.resize(static_cast<std::size_t>(params_.num_extents));
   extents_per_group_.assign(static_cast<std::size_t>(num_groups_), 0);
   ResetRoundRobin();
 }
 
 void LayoutManager::ResetRoundRobin() {
   std::fill(extents_per_group_.begin(), extents_per_group_.end(), 0);
-  for (std::int64_t e = 0; e < params_.num_extents; ++e) {
-    int g = static_cast<int>(e % num_groups_);
-    extent_group_[static_cast<std::size_t>(e)] = g;
+  std::int32_t g = 0;
+  for (ExtentRecord& record : extents_) {
+    record.group = g;
     ++extents_per_group_[static_cast<std::size_t>(g)];
+    if (++g == num_groups_) {
+      g = 0;
+    }
   }
 }
 
 void LayoutManager::SetGroup(std::int64_t extent, int group) {
   HIB_DCHECK(group >= 0 && group < num_groups_) << "group " << group;
-  auto idx = static_cast<std::size_t>(extent);
-  int old_group = extent_group_[idx];
-  if (old_group == group) {
+  ExtentRecord& record = extents_[static_cast<std::size_t>(extent)];
+  if (record.group == group) {
     return;
   }
-  --extents_per_group_[static_cast<std::size_t>(old_group)];
+  --extents_per_group_[static_cast<std::size_t>(record.group)];
   ++extents_per_group_[static_cast<std::size_t>(group)];
-  extent_group_[idx] = static_cast<std::int32_t>(group);
+  record.group = static_cast<std::int32_t>(group);
 }
 
 std::vector<int> LayoutManager::GroupDisks(int group) const {
@@ -99,17 +101,23 @@ StripeTarget LayoutManager::Map(std::int64_t extent, SectorAddr offset_in_extent
 TemperatureTracker::TemperatureTracker(std::int64_t num_extents, double decay)
     : decay_(decay),
       temperature_(static_cast<std::size_t>(num_extents), 0.0f),
-      window_(static_cast<std::size_t>(num_extents), 0.0f) {}
+      own_records_(static_cast<std::size_t>(num_extents)),
+      records_(own_records_.data()) {}
+
+TemperatureTracker::TemperatureTracker(LayoutManager* layout, double decay)
+    : decay_(decay),
+      temperature_(layout->extents_.size(), 0.0f),
+      records_(layout->extents_.data()) {}
 
 void TemperatureTracker::Touch(std::int64_t extent, double weight) {
-  window_[static_cast<std::size_t>(extent)] += static_cast<float>(weight);
+  records_[static_cast<std::size_t>(extent)].window += static_cast<float>(weight);
 }
 
 void TemperatureTracker::EndEpoch() {
   for (std::size_t i = 0; i < temperature_.size(); ++i) {
     temperature_[i] =
-        static_cast<float>(decay_ * static_cast<double>(temperature_[i])) + window_[i];
-    window_[i] = 0.0f;
+        static_cast<float>(decay_ * static_cast<double>(temperature_[i])) + records_[i].window;
+    records_[i].window = 0.0f;
   }
 }
 
@@ -125,7 +133,7 @@ std::vector<std::int64_t> TemperatureTracker::SortedHottestFirst() const {
 double TemperatureTracker::TotalTemperature() const {
   double total = 0.0;
   for (std::size_t i = 0; i < temperature_.size(); ++i) {
-    total += static_cast<double>(temperature_[i]) + static_cast<double>(window_[i]);
+    total += static_cast<double>(temperature_[i]) + static_cast<double>(records_[i].window);
   }
   return total;
 }

@@ -30,6 +30,16 @@ struct LayoutParams {
   SectorAddr disk_capacity_sectors = 0;   // required (physical placement hash)
 };
 
+// What the per-request path keeps per extent, in one 8-byte record, so
+// Submit's temperature touch and its layout lookup share a cache line.  The
+// LayoutManager owns the records; an array's TemperatureTracker keeps its
+// windows in them.
+struct ExtentRecord {
+  std::int32_t group = 0;  // the extent's stripe group (LayoutManager)
+  float window = 0.0f;     // accesses this epoch (TemperatureTracker)
+};
+static_assert(sizeof(ExtentRecord) == 8, "one extent's record must stay 8 bytes");
+
 // Where one stripe-unit-sized piece of an extent lands.
 struct StripeTarget {
   int data_disk = -1;
@@ -48,7 +58,7 @@ class LayoutManager {
   SectorCount extent_sectors() const { return params_.extent_sectors; }
 
   int GroupOf(std::int64_t extent) const {
-    return extent_group_[static_cast<std::size_t>(extent)];
+    return extents_[static_cast<std::size_t>(extent)].group;
   }
 
   // Instantly rebinds an extent to a group.  Callers that model migration
@@ -72,9 +82,11 @@ class LayoutManager {
   void ResetRoundRobin();
 
  private:
+  friend class TemperatureTracker;  // keeps its windows in extents_
+
   LayoutParams params_;
   int num_groups_;
-  std::vector<std::int32_t> extent_group_;
+  std::vector<ExtentRecord> extents_;  // sized once; never reallocates
   std::vector<std::int64_t> extents_per_group_;
 };
 
@@ -82,7 +94,14 @@ class LayoutManager {
 // this is the "temperature" that decides which extents belong on fast disks.
 class TemperatureTracker {
  public:
+  // Standalone: owns its windows.
   TemperatureTracker(std::int64_t num_extents, double decay = 0.5);
+  // Keeps its windows in `layout`'s extent records, which must outlive the
+  // tracker (the array controller's layout and tracker).
+  explicit TemperatureTracker(LayoutManager* layout, double decay = 0.5);
+
+  TemperatureTracker(const TemperatureTracker&) = delete;
+  TemperatureTracker& operator=(const TemperatureTracker&) = delete;
 
   void Touch(std::int64_t extent, double weight = 1.0);
 
@@ -91,7 +110,7 @@ class TemperatureTracker {
 
   double TemperatureOf(std::int64_t extent) const {
     auto i = static_cast<std::size_t>(extent);
-    return temperature_[i] + window_[i];
+    return temperature_[i] + records_[i].window;
   }
 
   // Extent ids sorted hottest-first.  O(n log n); called once per epoch.
@@ -105,7 +124,8 @@ class TemperatureTracker {
  private:
   double decay_;
   std::vector<float> temperature_;
-  std::vector<float> window_;
+  std::vector<ExtentRecord> own_records_;  // standalone storage; empty when sharing
+  ExtentRecord* records_;                  // own_records_ or the layout's
 };
 
 }  // namespace hib

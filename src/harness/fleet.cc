@@ -1,6 +1,7 @@
 #include "src/harness/fleet.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -12,9 +13,38 @@
 
 namespace hib {
 
+namespace {
+
+// The fleet's one Zipf table.  Every OLTP or Cello shard draws chunk ranks
+// over the same (n, theta), so the table is built once, here on the merge
+// side before any shard starts, with its terms filled on every core; the
+// shards only read it.  Null for the zoo kinds, which draw no Zipf ranks,
+// and above ZipfGenerator::kMaxTableSize, where generators keep no table.
+std::shared_ptr<const ZipfTable> BuildFleetZipfTable(const FleetSpec& spec) {
+  SectorCount chunk_sectors = OltpWorkloadParams{}.chunk_sectors;
+  double theta = OltpWorkloadParams{}.zipf_theta;
+  if (spec.workload == FleetSpec::Workload::kCello) {
+    chunk_sectors = CelloWorkloadParams{}.chunk_sectors;
+    theta = CelloWorkloadParams{}.zipf_theta;
+  } else if (spec.workload != FleetSpec::Workload::kOltp) {
+    return nullptr;
+  }
+  std::int64_t n = NumChunks(ArrayFor(spec.scheme, spec.base_array).DataSectors(), chunk_sectors);
+  if (n > ZipfGenerator::kMaxTableSize) {
+    return nullptr;
+  }
+  return std::make_shared<const ZipfTable>(
+      n, theta, [](std::int64_t size, const ZipfTable::RangeBody& fill) {
+        ParallelFor(size, DefaultParallelism(), fill);
+      });
+}
+
+}  // namespace
+
 FleetSimulator::FleetSimulator(FleetSpec spec) : spec_(spec) {
   HIB_CHECK_GT(spec_.num_arrays, 0) << "fleet needs at least one array";
   HIB_CHECK_GE(spec_.rate_spread, 0.0);
+  std::shared_ptr<const ZipfTable> zipf = BuildFleetZipfTable(spec_);
   // All per-array randomness is drawn here, in index order, so the shard
   // specs — and therefore the whole fleet run — are a pure function of the
   // FleetSpec, independent of thread count and scheduling.
@@ -44,7 +74,7 @@ FleetSimulator::FleetSimulator(FleetSpec spec) : spec_(spec) {
     Duration duration = spec_.duration_ms;
     switch (spec_.workload) {
       case FleetSpec::Workload::kOltp:
-        es.make_workload = [peak, trough, duration, phase, workload_seed](
+        es.make_workload = [peak, trough, duration, phase, workload_seed, zipf](
                                const ArrayParams& p) -> std::unique_ptr<WorkloadSource> {
           OltpWorkloadParams wp;
           wp.address_space_sectors = p.DataSectors();
@@ -53,11 +83,11 @@ FleetSimulator::FleetSimulator(FleetSpec spec) : spec_(spec) {
           wp.trough_iops = trough;
           wp.phase_ms = phase;
           wp.seed = workload_seed;
-          return std::make_unique<OltpWorkload>(wp);
+          return std::make_unique<OltpWorkload>(wp, zipf);
         };
         break;
       case FleetSpec::Workload::kCello:
-        es.make_workload = [peak, trough, duration, phase, workload_seed](
+        es.make_workload = [peak, trough, duration, phase, workload_seed, zipf](
                                const ArrayParams& p) -> std::unique_ptr<WorkloadSource> {
           CelloWorkloadParams wp;
           wp.address_space_sectors = p.DataSectors();
@@ -66,7 +96,7 @@ FleetSimulator::FleetSimulator(FleetSpec spec) : spec_(spec) {
           wp.trough_iops = trough;
           wp.phase_ms = phase;
           wp.seed = workload_seed;
-          return std::make_unique<CelloWorkload>(wp);
+          return std::make_unique<CelloWorkload>(wp, zipf);
         };
         break;
       case FleetSpec::Workload::kMlTraining:

@@ -85,7 +85,8 @@ class FleetSimulator {
   FleetSpec spec_;
   // Built once in the constructor, read-only afterwards: shards receive
   // const references into this vector, so mutating it during Run() would be
-  // a cross-shard data race.
+  // a cross-shard data race.  The OLTP and Cello workload factories share
+  // one immutable Zipf table, built by the constructor before any shard runs.
   std::vector<ExperimentSpec> specs_;
 };
 

@@ -11,6 +11,7 @@
 #ifndef HIBERNATOR_SRC_HARNESS_PARALLEL_H_
 #define HIBERNATOR_SRC_HARNESS_PARALLEL_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -41,6 +42,14 @@ struct ExperimentSpec {
 // Threads RunAll uses when `max_threads` <= 0: the HIB_JOBS environment
 // variable if set, else std::thread::hardware_concurrency().
 int DefaultParallelism();
+
+// Splits [0, n) into up to `threads` contiguous slices and runs `body` once
+// per slice, each on its own thread, returning when all have finished.  For
+// merge-side set-up that shards later read, such as the fleet's shared Zipf
+// table: `body` must write only its own slice.
+void ParallelFor(std::int64_t n, int threads,
+                 const std::function<void(std::int64_t begin, std::int64_t end)>& body)
+    HIB_EXCLUDES_CONTEXT(kShardContext);
 
 // Runs every spec (each in its own thread, up to the thread cap) and returns
 // results in spec order.  Bit-identical to calling RunExperiment sequentially.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/util/check.h"
 
@@ -9,13 +10,12 @@ namespace hib {
 
 namespace {
 constexpr Duration kDayMs = Hours(24.0);
-constexpr std::int64_t kScramblePrime = 2654435761LL;
 
 // Smooth diurnal shape in [0, 1]: 0 at t = 0 (midnight), 1 at t = 12 h.
 double DiurnalShape(SimTime t) { return 0.5 * (1.0 - std::cos(2.0 * M_PI * t / kDayMs)); }
 }  // namespace
 
-std::int64_t SkewedSpace::NumChunks() const {
+std::int64_t NumChunks(SectorAddr address_space_sectors, SectorCount chunk_sectors) {
   return std::max<std::int64_t>(1, address_space_sectors / chunk_sectors);
 }
 
@@ -26,19 +26,28 @@ std::int64_t ScrambleRank(std::int64_t rank, std::int64_t num_chunks) {
   if (num_chunks == kScramblePrime) {
     return rank;  // degenerate; the multiplier would not be coprime
   }
+  HIB_DCHECK(rank >= 0 && rank < num_chunks) << "rank " << rank << " of " << num_chunks;
   // rank -> (rank * p) mod n is a bijection because p is prime and n < p
   // in all realistic configurations (n is a chunk count, p ~ 2.65e9).
+  if (num_chunks < (std::int64_t{1} << 32)) {
+    // rank < n < 2^32 and p < 2^32, so the product fits 64 bits: one
+    // hardware divide instead of a libgcc 128-bit modulo call.
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(rank) *
+                                     static_cast<std::uint64_t>(kScramblePrime) %
+                                     static_cast<std::uint64_t>(num_chunks));
+  }
   __int128 prod = static_cast<__int128>(rank) * kScramblePrime;
   return static_cast<std::int64_t>(prod % num_chunks);
 }
 
 // ---------------------------------------------------------------- OLTP -----
 
-OltpWorkload::OltpWorkload(OltpWorkloadParams params)
+OltpWorkload::OltpWorkload(OltpWorkloadParams params,
+                           std::shared_ptr<const ZipfTable> zipf_table)
     : params_(params),
       rng_(params.seed),
-      zipf_(std::max<std::int64_t>(1, params.address_space_sectors / params.chunk_sectors),
-            params.zipf_theta) {
+      zipf_(NumChunks(params.address_space_sectors, params.chunk_sectors), params.zipf_theta,
+            std::move(zipf_table)) {
   HIB_CHECK_GT(params_.address_space_sectors, 0) << "workload needs a positive address space";
   HIB_CHECK_GT(params_.peak_iops, 0.0) << "peak_iops must be positive";
   HIB_CHECK_GE(params_.trough_iops, 0.0) << "trough_iops must be non-negative";
@@ -84,11 +93,12 @@ void OltpWorkload::Reset() {
 
 // --------------------------------------------------------------- Cello -----
 
-CelloWorkload::CelloWorkload(CelloWorkloadParams params)
+CelloWorkload::CelloWorkload(CelloWorkloadParams params,
+                             std::shared_ptr<const ZipfTable> zipf_table)
     : params_(params),
       rng_(params.seed),
-      zipf_(std::max<std::int64_t>(1, params.address_space_sectors / params.chunk_sectors),
-            params.zipf_theta) {
+      zipf_(NumChunks(params.address_space_sectors, params.chunk_sectors), params.zipf_theta,
+            std::move(zipf_table)) {
   HIB_CHECK_GT(params_.address_space_sectors, 0) << "workload needs a positive address space";
   HIB_CHECK_GT(params_.peak_iops, 0.0) << "peak_iops must be positive";
   HIB_CHECK_GE(params_.trough_iops, 0.0) << "trough_iops must be non-negative";

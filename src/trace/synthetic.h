@@ -28,14 +28,8 @@ namespace hib {
 // Popularity is drawn over fixed-size "locality chunks" and scrambled with a
 // multiplicative hash so hot chunks are spread across the address space
 // (consecutive-hot layouts would make data concentration trivially easy).
-struct SkewedSpace {
-  SectorAddr address_space_sectors = 0;
-  SectorCount chunk_sectors = 2048;  // 1 MB locality granularity
-  double zipf_theta = 0.86;          // classic ~80/20 skew
-
-  // Number of chunks in the space.
-  std::int64_t NumChunks() const;
-};
+// The number of chunks (at least 1), which is the Zipf rank count.
+std::int64_t NumChunks(SectorAddr address_space_sectors, SectorCount chunk_sectors);
 
 struct OltpWorkloadParams {
   SectorAddr address_space_sectors = 0;  // required
@@ -62,7 +56,12 @@ struct OltpWorkloadParams {
 
 class OltpWorkload : public WorkloadSource {
  public:
-  explicit OltpWorkload(OltpWorkloadParams params);
+  // A non-null `zipf_table` must be built for NumChunks(address space,
+  // chunk_sectors) and zipf_theta (checked); it is shared, not rebuilt.
+  explicit OltpWorkload(OltpWorkloadParams params,
+                        std::shared_ptr<const ZipfTable> zipf_table = nullptr);
+
+  const OltpWorkloadParams& params() const { return params_; }
 
   bool Next(TraceRecord* out) override;
   void Reset() override;
@@ -75,6 +74,9 @@ class OltpWorkload : public WorkloadSource {
   // Instantaneous arrival rate at time t (requests/second); exposed so the
   // tests can check the generator against its own model.
   double RateAt(SimTime t) const;
+
+  // The popularity table draws invert (null above ZipfGenerator's limit).
+  const ZipfTable* zipf_table() const { return zipf_.table(); }
 
  private:
   OltpWorkloadParams params_;
@@ -105,7 +107,11 @@ struct CelloWorkloadParams {
 
 class CelloWorkload : public WorkloadSource {
  public:
-  explicit CelloWorkload(CelloWorkloadParams params);
+  // `zipf_table` as for OltpWorkload.
+  explicit CelloWorkload(CelloWorkloadParams params,
+                         std::shared_ptr<const ZipfTable> zipf_table = nullptr);
+
+  const CelloWorkloadParams& params() const { return params_; }
 
   bool Next(TraceRecord* out) override;
   void Reset() override;
@@ -114,6 +120,8 @@ class CelloWorkload : public WorkloadSource {
   double PeakIopsHint() const override { return params_.peak_iops; }
 
   double RateAt(SimTime t) const;
+
+  const ZipfTable* zipf_table() const { return zipf_.table(); }
 
  private:
   void StartBurst();
@@ -156,8 +164,11 @@ class ConstantWorkload : public WorkloadSource {
   SimTime now_;
 };
 
-// Maps a popularity rank to a scrambled chunk index (bijective over
-// [0, num_chunks)); shared by the generators and by tests.
+// The multiplier ScrambleRank hashes with: a prime below 2^32.
+inline constexpr std::int64_t kScramblePrime = 2654435761LL;
+
+// Maps a popularity rank in [0, num_chunks) to a scrambled chunk index
+// (bijective over [0, num_chunks)); shared by the generators and by tests.
 std::int64_t ScrambleRank(std::int64_t rank, std::int64_t num_chunks);
 
 }  // namespace hib

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <utility>
+
+#include "src/util/check.h"
 
 namespace hib {
 
@@ -74,24 +77,47 @@ double Pcg32::NextGaussian(double mean, double stddev) {
   return mean + stddev * z;
 }
 
-namespace {
-// Above this size we skip the explicit CDF table and invert analytically.
-constexpr std::int64_t kMaxTableSize = 1 << 22;
-}  // namespace
+ZipfTable::ZipfTable(std::int64_t n, double theta, const RangeRunner& for_ranges)
+    : theta_(theta),
+      cdf_(static_cast<std::size_t>(n < 1 ? 1 : n)),
+      guide_(kGuideBuckets + 1) {
+  RangeBody fill_terms = [this](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) {
+      cdf_[static_cast<std::size_t>(i)] = 1.0 / std::pow(static_cast<double>(i + 1), theta_);
+    }
+  };
+  std::int64_t size = this->n();
+  if (for_ranges) {
+    for_ranges(size, fill_terms);
+  } else {
+    fill_terms(0, size);
+  }
+  double sum = 0.0;
+  for (double& v : cdf_) {
+    sum += v;
+    v = sum;
+  }
+  // Normalise and fill the guide in one walk: the CDF is non-decreasing, so
+  // bucket edge k is crossed at the first rank whose CDF reaches it.  The
+  // last entry is sum / sum == 1.0 exactly, so every edge k * 2^-16 <= 1 is
+  // reached and the walk fills the whole guide.
+  constexpr double kEdgeStep = 1.0 / static_cast<double>(kGuideBuckets);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < cdf_.size(); ++i) {
+    cdf_[i] /= sum;
+    while (k <= kGuideBuckets && cdf_[i] >= static_cast<double>(k) * kEdgeStep) {
+      guide_[k++] = static_cast<std::uint32_t>(i);
+    }
+  }
+}
 
-ZipfGenerator::ZipfGenerator(std::int64_t n, double theta)
-    : n_(n < 1 ? 1 : n), theta_(theta), use_table_(n_ <= kMaxTableSize), harmonic_(0.0) {
-  if (use_table_) {
-    cdf_.resize(static_cast<std::size_t>(n_));
-    double sum = 0.0;
-    for (std::int64_t i = 0; i < n_; ++i) {
-      sum += 1.0 / std::pow(static_cast<double>(i + 1), theta_);
-      cdf_[static_cast<std::size_t>(i)] = sum;
-    }
-    harmonic_ = sum;
-    for (auto& v : cdf_) {
-      v /= sum;
-    }
+ZipfGenerator::ZipfGenerator(std::int64_t n, double theta, std::shared_ptr<const ZipfTable> table)
+    : n_(n < 1 ? 1 : n), theta_(theta), table_(std::move(table)) {
+  if (table_) {
+    HIB_CHECK_EQ(table_->n(), n_) << "shared Zipf table built for another rank count";
+    HIB_CHECK_EQ(table_->theta(), theta_) << "shared Zipf table built for another theta";
+  } else if (n_ <= kMaxTableSize) {
+    table_ = std::make_shared<const ZipfTable>(n_, theta_);
   } else {
     // Approximate H_{n,theta} by the integral; only used for enormous spaces
     // where per-rank exactness is irrelevant.
@@ -103,19 +129,8 @@ ZipfGenerator::ZipfGenerator(std::int64_t n, double theta)
 
 std::int64_t ZipfGenerator::Next(Pcg32& rng) const {
   double u = rng.NextDouble();
-  if (use_table_) {
-    // Binary search the CDF.
-    std::int64_t lo = 0;
-    std::int64_t hi = n_ - 1;
-    while (lo < hi) {
-      std::int64_t mid = lo + (hi - lo) / 2;
-      if (cdf_[static_cast<std::size_t>(mid)] < u) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+  if (table_) {
+    return table_->Rank(u);
   }
   // Analytic inverse of the continuous approximation.
   double target = u * harmonic_;
@@ -142,8 +157,8 @@ double ZipfGenerator::MassOfTop(std::int64_t k) const {
   if (k >= n_) {
     return 1.0;
   }
-  if (use_table_) {
-    return cdf_[static_cast<std::size_t>(k - 1)];
+  if (table_) {
+    return table_->cdf()[static_cast<std::size_t>(k - 1)];
   }
   double kd = static_cast<double>(k);
   double hk = theta_ == 1.0 ? std::log(kd) + 0.5772156649

@@ -6,7 +6,10 @@
 #ifndef HIBERNATOR_SRC_UTIL_RANDOM_H_
 #define HIBERNATOR_SRC_UTIL_RANDOM_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 namespace hib {
@@ -42,19 +45,78 @@ class Pcg32 {
   std::uint64_t inc_;
 };
 
+// Normalised Zipf(theta) CDF over ranks {0, ..., n-1}, plus a guide that
+// narrows every inverse-CDF search to one bucket.  Immutable once built, so
+// one table can back every generator that shares (n, theta): a fleet builds
+// one before RunAll and every shard reads it.
+class ZipfTable {
+ public:
+  // A RangeRunner calls `body` on disjoint [begin, end) slices that tile
+  // [0, n), in any order and on any threads.
+  using RangeBody = std::function<void(std::int64_t begin, std::int64_t end)>;
+  using RangeRunner = std::function<void(std::int64_t n, const RangeBody& body)>;
+
+  // Guide resolution: the top kGuideBits bits of u pick the bucket.
+  static constexpr int kGuideBits = 16;
+  static constexpr std::size_t kGuideBuckets = std::size_t{1} << kGuideBits;
+
+  // `n` ranks (at least 1, and below 2^32: the guide stores uint32 ranks).
+  // Fills the 1/(i+1)^theta terms through `for_ranges` (on this thread when
+  // empty); the prefix sum, normalisation and guide are one serial pass in
+  // rank order, so the table is bit-identical for any split.
+  ZipfTable(std::int64_t n, double theta, const RangeRunner& for_ranges = {});
+
+  // The first rank whose CDF is >= u, for u in [0, 1): a binary search of
+  // [guide[k], guide[k + 1]], k = floor(u * 2^kGuideBits).
+  std::int64_t Rank(double u) const {
+    auto k = static_cast<std::size_t>(u * static_cast<double>(kGuideBuckets));
+    std::uint32_t lo = guide_[k];
+    std::uint32_t hi = guide_[k + 1];
+    while (lo < hi) {
+      std::uint32_t mid = lo + (hi - lo) / 2;
+      if (cdf_[mid] < u) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  std::int64_t n() const { return static_cast<std::int64_t>(cdf_.size()); }
+  double theta() const { return theta_; }
+  // cdf()[i] = P(rank <= i).
+  const std::vector<double>& cdf() const { return cdf_; }
+  // guide()[k] = the first rank with CDF >= k * 2^-kGuideBits, for k in
+  // [0, kGuideBuckets].
+  const std::vector<std::uint32_t>& guide() const { return guide_; }
+
+ private:
+  double theta_;
+  std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;
+};
+
 // Samples ranks from a Zipf(theta) distribution over {0, ..., n-1}; rank 0 is
-// the most popular.  Uses the Gray/Jim-Gray "scrambled" quantile-table method:
-// O(n) setup, O(log n) per sample, exact distribution.
+// the most popular.  Up to kMaxTableSize ranks it inverts a ZipfTable (O(n)
+// setup, O(log bucket) per sample, exact distribution); above that it
+// inverts the continuous approximation analytically.
 class ZipfGenerator {
  public:
+  static constexpr std::int64_t kMaxTableSize = std::int64_t{1} << 22;
+
   // `n` items, skew `theta` in (0, ~1.2]; theta -> 0 degenerates to uniform.
-  ZipfGenerator(std::int64_t n, double theta);
+  // A non-null `table` (built for exactly this n and theta) is shared
+  // instead of building one.
+  ZipfGenerator(std::int64_t n, double theta, std::shared_ptr<const ZipfTable> table = nullptr);
 
   // Draws one rank in [0, n).
   std::int64_t Next(Pcg32& rng) const;
 
   std::int64_t n() const { return n_; }
   double theta() const { return theta_; }
+  // The table draws invert; null above kMaxTableSize.
+  const ZipfTable* table() const { return table_.get(); }
 
   // Fraction of total probability mass held by the first `k` ranks.
   double MassOfTop(std::int64_t k) const;
@@ -62,10 +124,8 @@ class ZipfGenerator {
  private:
   std::int64_t n_;
   double theta_;
-  std::vector<double> cdf_;  // cdf_[i] = P(rank <= i); size n (capped, see .cc)
-  // For very large n we use the analytic inverse instead of the table.
-  bool use_table_;
-  double harmonic_;  // generalized harmonic number H_{n,theta}
+  std::shared_ptr<const ZipfTable> table_;
+  double harmonic_ = 0.0;  // analytic path: approximate H_{n,theta}
 };
 
 }  // namespace hib

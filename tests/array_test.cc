@@ -7,6 +7,7 @@
 #include "src/array/cache.h"
 #include "src/array/layout.h"
 #include "src/sim/simulator.h"
+#include "src/util/random.h"
 
 namespace hib {
 namespace {
@@ -170,6 +171,48 @@ TEST(Temperature, TotalTemperature) {
   EXPECT_DOUBLE_EQ(temps.TotalTemperature(), 3.0);
   temps.EndEpoch();
   EXPECT_DOUBLE_EQ(temps.TotalTemperature(), 1.5);
+}
+
+TEST(Temperature, SharedRecordsMatchStandalone) {
+  // An array's tracker keeps its windows in the layout's extent records; it
+  // must read exactly like a standalone tracker, and regrouping an extent
+  // must leave every window alone.
+  LayoutManager layout(SmallLayout());
+  TemperatureTracker shared(&layout, 0.5);
+  TemperatureTracker alone(layout.num_extents(), 0.5);
+  std::vector<int> groups(static_cast<std::size_t>(layout.num_extents()));
+  for (std::int64_t e = 0; e < layout.num_extents(); ++e) {
+    groups[static_cast<std::size_t>(e)] = layout.GroupOf(e);
+  }
+  auto expect_same = [&](int step) {
+    for (std::int64_t e = 0; e < layout.num_extents(); ++e) {
+      ASSERT_EQ(shared.TemperatureOf(e), alone.TemperatureOf(e)) << "extent " << e << " step " << step;
+      ASSERT_EQ(layout.GroupOf(e), groups[static_cast<std::size_t>(e)]) << "extent " << e;
+    }
+    ASSERT_EQ(shared.SortedHottestFirst(), alone.SortedHottestFirst()) << "step " << step;
+    ASSERT_EQ(shared.TotalTemperature(), alone.TotalTemperature()) << "step " << step;
+  };
+  Pcg32 rng(77);
+  for (int step = 0; step < 50000; ++step) {
+    std::int64_t extent = rng.NextInRange(0, layout.num_extents() - 1);
+    double pick = rng.NextDouble();
+    if (pick < 0.8) {
+      double weight = 3.0 * rng.NextDouble();  // rarely a float: exercises rounding
+      shared.Touch(extent, weight);
+      alone.Touch(extent, weight);
+    } else if (pick < 0.998) {
+      int group = static_cast<int>(rng.NextBounded(static_cast<std::uint32_t>(layout.num_groups())));
+      double before = shared.TemperatureOf(extent);
+      layout.SetGroup(extent, group);
+      groups[static_cast<std::size_t>(extent)] = group;
+      ASSERT_EQ(shared.TemperatureOf(extent), before) << "SetGroup changed a window";
+    } else {
+      shared.EndEpoch();
+      alone.EndEpoch();
+      expect_same(step);
+    }
+  }
+  expect_same(-1);
 }
 
 // ------------------------------------------------------------ LruCache -----

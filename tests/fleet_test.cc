@@ -2,11 +2,14 @@
 // function of the FleetSpec — bit-identical across thread counts — and the
 // per-array variation (seeds, rates, phases) must be deterministic and
 // actually varied.
+#include <memory>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/harness/fleet.h"
+#include "src/trace/synthetic.h"
 
 namespace hib {
 namespace {
@@ -116,6 +119,53 @@ TEST(FleetTest, RateSpreadAndPhaseVaryTheShards) {
   for (const ExperimentResult& shard : rf.per_array) {
     EXPECT_GT(shard.requests, 0);
   }
+}
+
+// Builds every shard's workload and checks that all of them hold the fleet's
+// one Zipf table, and that each yields what a standalone generator built from
+// the same params, with its own table, yields.
+template <typename Generator>
+void ExpectShardsShareOneTable(FleetSpec spec) {
+  spec.duration_ms = Hours(24.0);  // room for every shard's first 1e5 records
+  FleetSimulator fleet(spec);
+  const ZipfTable* fleet_table = nullptr;
+  // Every shard's workload stays alive, so a table built per shard could not
+  // reuse a freed one's address.
+  std::vector<std::unique_ptr<WorkloadSource>> shards;
+  for (const ExperimentSpec& es : fleet.specs()) {
+    shards.push_back(es.make_workload(es.array));
+    auto& shard = dynamic_cast<Generator&>(*shards.back());
+    ASSERT_NE(shard.zipf_table(), nullptr);
+    if (fleet_table == nullptr) {
+      fleet_table = shard.zipf_table();
+    }
+    EXPECT_EQ(shard.zipf_table(), fleet_table) << es.name << " holds its own table";
+
+    Generator standalone(shard.params());
+    EXPECT_NE(standalone.zipf_table(), fleet_table);
+    TraceRecord a;
+    TraceRecord b;
+    for (int i = 0; i < 100000; ++i) {
+      bool more = shard.Next(&a);
+      ASSERT_EQ(more, standalone.Next(&b)) << es.name << " record " << i;
+      ASSERT_TRUE(more) << es.name << " ended after " << i << " records";
+      ASSERT_EQ(a.time.value(), b.time.value()) << es.name << " record " << i;
+      ASSERT_EQ(a.lba, b.lba) << es.name << " record " << i;
+      ASSERT_EQ(a.count, b.count) << es.name << " record " << i;
+      ASSERT_EQ(a.is_write, b.is_write) << es.name << " record " << i;
+      ASSERT_EQ(a.stream, b.stream) << es.name << " record " << i;
+    }
+  }
+}
+
+TEST(FleetTest, OltpShardsShareOneTableAndMatchStandaloneGenerators) {
+  ExpectShardsShareOneTable<OltpWorkload>(SmallSpec());
+}
+
+TEST(FleetTest, CelloShardsShareOneTableAndMatchStandaloneGenerators) {
+  FleetSpec spec = SmallSpec();
+  spec.workload = FleetSpec::Workload::kCello;
+  ExpectShardsShareOneTable<CelloWorkload>(spec);
 }
 
 }  // namespace

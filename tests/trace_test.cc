@@ -7,6 +7,7 @@
 #include "src/trace/spc_writer.h"
 #include "src/trace/synthetic.h"
 #include "src/trace/trace.h"
+#include "src/util/random.h"
 
 namespace hib {
 namespace {
@@ -52,6 +53,37 @@ TEST(ScrambleRank, SpreadsNeighbors) {
   std::int64_t a = ScrambleRank(0, n);
   std::int64_t b = ScrambleRank(1, n);
   EXPECT_GT(std::abs(a - b), 100);
+}
+
+// The reference: the 128-bit product, exact for every space.
+std::int64_t ScrambleRankReference(std::int64_t rank, std::int64_t num_chunks) {
+  if (num_chunks <= 1) {
+    return 0;
+  }
+  if (num_chunks == kScramblePrime) {
+    return rank;
+  }
+  return static_cast<std::int64_t>(static_cast<__int128>(rank) * kScramblePrime % num_chunks);
+}
+
+TEST(ScrambleRank, MatchesTheWideReference) {
+  Pcg32 rng(2024);
+  const std::int64_t kSpaces[] = {2,
+                                  3,
+                                  424968,
+                                  (std::int64_t{1} << 31) - 1,
+                                  (std::int64_t{1} << 32) - 1,
+                                  (std::int64_t{1} << 32) + 5,
+                                  kScramblePrime};
+  for (std::int64_t n : kSpaces) {
+    for (std::int64_t rank : {std::int64_t{0}, std::int64_t{1}, n - 1}) {
+      ASSERT_EQ(ScrambleRank(rank, n), ScrambleRankReference(rank, n)) << rank << " of " << n;
+    }
+    for (int i = 0; i < 100000; ++i) {
+      std::int64_t rank = rng.NextInRange(0, n - 1);
+      ASSERT_EQ(ScrambleRank(rank, n), ScrambleRankReference(rank, n)) << rank << " of " << n;
+    }
+  }
 }
 
 // --------------------------------------------------------------- OLTP ------

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/harness/parallel.h"
 #include "src/util/inplace_function.h"
 #include "src/util/random.h"
 #include "src/util/stats.h"
@@ -239,6 +240,78 @@ TEST(Zipf, SingleItemDegenerates) {
   Pcg32 rng(4);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(zipf.Next(rng), 0);
+  }
+}
+
+TEST(ZipfGeneratorDeathTest, RejectsATableForAnotherShape) {
+  auto table = std::make_shared<const ZipfTable>(100, 0.86);
+  EXPECT_DEATH(ZipfGenerator(101, 0.86, table), "another rank count");
+  EXPECT_DEATH(ZipfGenerator(100, 0.9, table), "another theta");
+}
+
+// ---------------------------------------------------------- ZipfTable ------
+
+// The reference: the first rank whose CDF is >= u, by a search of the whole
+// table (clamped to n - 1).
+std::int64_t FullSearchRank(const ZipfTable& table, double u) {
+  const std::vector<double>& cdf = table.cdf();
+  auto rank = std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin();
+  return std::min<std::int64_t>(rank, table.n() - 1);
+}
+
+TEST(ZipfTable, GuidedRankMatchesFullSearch) {
+  struct Shape {
+    std::int64_t n;
+    double theta;
+  };
+  const Shape kShapes[] = {{1, 0.9},       {2, 0.86},      {1000, 1e-9},
+                           {424968, 0.86}, {254981, 1.05}, {std::int64_t{1} << 22, 1.2}};
+  for (const Shape& shape : kShapes) {
+    ZipfTable table(shape.n, shape.theta);
+    Pcg32 rng(static_cast<std::uint64_t>(shape.n));
+    for (int i = 0; i < 1000000; ++i) {
+      double u = rng.NextDouble();
+      ASSERT_EQ(table.Rank(u), FullSearchRank(table, u)) << "n " << shape.n << " u " << u;
+    }
+    // Every bucket edge k * 2^-16 in [0, 1), and the double just below each.
+    constexpr auto kBuckets = static_cast<double>(ZipfTable::kGuideBuckets);
+    for (std::size_t k = 0; k <= ZipfTable::kGuideBuckets; ++k) {
+      double edge = static_cast<double>(k) / kBuckets;
+      if (k < ZipfTable::kGuideBuckets) {
+        ASSERT_EQ(table.Rank(edge), FullSearchRank(table, edge)) << "n " << shape.n << " k " << k;
+      }
+      if (k > 0) {
+        double below = std::nextafter(edge, 0.0);
+        ASSERT_EQ(table.Rank(below), FullSearchRank(table, below))
+            << "n " << shape.n << " below k " << k;
+      }
+    }
+  }
+}
+
+TEST(ZipfTable, ParallelFillMatchesSerial) {
+  constexpr std::int64_t kN = 100003;  // prime: no thread count divides it
+  ZipfTable serial(kN, 0.86);
+  for (int threads : {1, 3, 4}) {
+    ZipfTable filled(kN, 0.86, [threads](std::int64_t n, const ZipfTable::RangeBody& body) {
+      ParallelFor(n, threads, body);
+    });
+    // Exact, not approximate: only the terms are filled in parallel.
+    EXPECT_EQ(filled.cdf(), serial.cdf()) << threads << " threads";
+    EXPECT_EQ(filled.guide(), serial.guide()) << threads << " threads";
+  }
+}
+
+TEST(ZipfTable, SharedTableDrawsLikeAnOwnedOne) {
+  auto table = std::make_shared<const ZipfTable>(5000, 0.86);
+  ZipfGenerator shared(5000, 0.86, table);
+  ZipfGenerator owned(5000, 0.86);
+  EXPECT_EQ(shared.table(), table.get());
+  EXPECT_NE(owned.table(), table.get());
+  Pcg32 a(11);
+  Pcg32 b(11);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(shared.Next(a), owned.Next(b));
   }
 }
 
