@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "src/array/array.h"
+#include "src/harness/experiment.h"
 #include "src/hibernator/cr_algorithm.h"
 #include "src/sim/simulator.h"
 #include "src/trace/synthetic.h"
@@ -154,17 +155,8 @@ void BM_EndToEndMiniSim(benchmark::State& state) {
     wp.duration_ms = Seconds(600.0);
     wp.iops = 100.0;
     ConstantWorkload workload(wp);
-    TraceRecord rec;
-    std::function<void()> next = [&] {
-      TraceRecord r;
-      if (workload.Next(&r)) {
-        sim.ScheduleAt(r.time, [&, r] {
-          array.Submit(r);
-          next();
-        });
-      }
-    };
-    next();
+    TraceInjector injector(&sim, &array, &workload);
+    injector.Start();
     sim.RunUntil(Seconds(700.0));
     benchmark::DoNotOptimize(array.stats().total_responses);
   }

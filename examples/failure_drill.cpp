@@ -10,6 +10,7 @@
 #include <cstdlib>
 
 #include "src/array/array.h"
+#include "src/harness/experiment.h"
 #include "src/hibernator/hibernator_policy.h"
 #include "src/sim/simulator.h"
 #include "src/trace/synthetic.h"
@@ -39,17 +40,8 @@ int main(int argc, char** argv) {
   wp.trough_iops = 40.0;
   hib::OltpWorkload workload(wp);
 
-  // Pull-driven replay.
-  std::function<void()> next = [&] {
-    hib::TraceRecord rec;
-    if (workload.Next(&rec)) {
-      sim.ScheduleAt(rec.time, [&array, rec, &next] {
-        array.Submit(rec);
-        next();
-      });
-    }
-  };
-  next();
+  hib::TraceInjector injector(&sim, &array, &workload);
+  injector.Start();
 
   // The drill: fail disk 2 at t = hours/3, replace one hour later.
   const int kVictim = 2;

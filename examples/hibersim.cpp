@@ -14,7 +14,9 @@
 // registry snapshot as JSON.
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,7 +48,8 @@ workload.trace_path =       # required when kind = spc
 
 # --- scheme --------------------------------------------------------------
 scheme.name = Hibernator    # Base | TPM | TPM-Adaptive | DRPM | PDC | MAID |
-                            # Hibernator | Hibernator-NoMig | Hibernator-NoBoost
+                            # Hibernator | Hibernator-NoMig | Hibernator-NoBoost |
+                            # Hibernator-UT
 scheme.goal_multiplier = 2.5  # x the measured Base mean response
 scheme.goal_ms = 0            # absolute goal (overrides multiplier when > 0)
 scheme.epoch_hours = 2
@@ -58,32 +61,14 @@ output.csv = false          # emit CSV instead of aligned tables
 )";
 
 // Looks up `name`; on a miss, prints the valid names and returns false.
-bool SchemeByName(const std::string& name, hib::Scheme* scheme) {
-  struct Entry {
-    const char* name;
-    hib::Scheme scheme;
-  };
-  constexpr Entry kEntries[] = {
-      {"Base", hib::Scheme::kBase},
-      {"TPM", hib::Scheme::kTpm},
-      {"TPM-Adaptive", hib::Scheme::kTpmAdaptive},
-      {"DRPM", hib::Scheme::kDrpm},
-      {"PDC", hib::Scheme::kPdc},
-      {"MAID", hib::Scheme::kMaid},
-      {"Hibernator", hib::Scheme::kHibernator},
-      {"Hibernator-NoMig", hib::Scheme::kHibernatorNoMigration},
-      {"Hibernator-NoBoost", hib::Scheme::kHibernatorNoBoost},
-      {"Hibernator-UT", hib::Scheme::kHibernatorUtilThreshold},
-  };
-  for (const Entry& e : kEntries) {
-    if (name == e.name) {
-      *scheme = e.scheme;
-      return true;
-    }
+bool ParseScheme(const std::string& name, hib::Scheme* scheme) {
+  if (std::optional<hib::Scheme> found = hib::SchemeByName(name)) {
+    *scheme = *found;
+    return true;
   }
   std::fprintf(stderr, "config: unknown scheme.name '%s'; valid names:", name.c_str());
-  for (const Entry& e : kEntries) {
-    std::fprintf(stderr, " %s", e.name);
+  for (hib::Scheme s : hib::AllSchemes()) {
+    std::fprintf(stderr, " %s", hib::SchemeName(s));
   }
   std::fprintf(stderr, "\n");
   return false;
@@ -128,6 +113,28 @@ std::unique_ptr<hib::WorkloadSource> MakeWorkload(hib::Config& config,
                                                   const hib::ArrayParams& array) {
   std::string kind = config.GetString("workload.kind", "oltp");
   std::string trace_path = config.GetString("workload.trace_path");  // touch: used for spc
+  if (kind == "spc") {
+    // The trace fixes its own length and content, so the generator keys
+    // (hours, seed, rates) are left unread: set, they draw a warning.
+    const std::string& path = trace_path;
+    if (path.empty()) {
+      std::fprintf(stderr,
+                   "config: key 'workload.trace_path': required when workload.kind = spc\n");
+      return nullptr;
+    }
+    // A trace that yields no record would replay nothing and report an
+    // empty run as a result.
+    auto reader = std::make_unique<hib::SpcTraceReader>(path, array.DataSectors());
+    hib::TraceRecord first;
+    if (!reader->Next(&first)) {
+      std::fprintf(stderr, "config: key 'workload.trace_path': %s '%s'\n",
+                   std::ifstream(path).is_open() ? "no parseable record in" : "cannot open",
+                   path.c_str());
+      return nullptr;
+    }
+    reader->Reset();
+    return reader;
+  }
   double hours = config.GetDouble("workload.hours", 24.0);
   auto seed = static_cast<std::uint64_t>(config.GetInt("workload.seed", 42));
   bool valid = CheckValue("workload.hours", hours);
@@ -162,18 +169,7 @@ std::unique_ptr<hib::WorkloadSource> MakeWorkload(hib::Config& config,
     valid = CheckValue("workload.peak_iops", wp.iops) && valid;
     return valid ? std::make_unique<hib::ConstantWorkload>(wp) : nullptr;
   }
-  if (kind == "spc") {
-    if (!valid) {
-      return nullptr;
-    }
-    const std::string& path = trace_path;
-    if (path.empty()) {
-      std::fprintf(stderr, "workload.kind = spc requires workload.trace_path\n");
-      return nullptr;
-    }
-    return std::make_unique<hib::SpcTraceReader>(path, array.DataSectors());
-  }
-  std::fprintf(stderr, "unknown workload.kind '%s'\n", kind.c_str());
+  std::fprintf(stderr, "config: key 'workload.kind': unknown kind '%s'\n", kind.c_str());
   return nullptr;
 }
 
@@ -230,7 +226,7 @@ int main(int argc, char** argv) {
   array.data_fraction = config.GetDouble("array.data_fraction", 0.6);
 
   hib::SchemeConfig scheme;
-  bool scheme_known = SchemeByName(config.GetString("scheme.name", "Hibernator"), &scheme.scheme);
+  bool scheme_known = ParseScheme(config.GetString("scheme.name", "Hibernator"), &scheme.scheme);
   scheme.epoch_ms = hib::Hours(config.GetDouble("scheme.epoch_hours", 2.0));
   scheme.migration_budget_extents = config.GetInt("scheme.migration_budget_extents", 4096);
   array = hib::ArrayFor(scheme, array);
@@ -247,14 +243,26 @@ int main(int argc, char** argv) {
   bool want_csv = config.GetBool("output.csv", false);
 
   // Every key has been read: report all bad values, and stop on any, before
-  // the Base probe rather than after it.
+  // the Base probe rather than after it.  A key --print-default-config does
+  // not list is an error (a typo would otherwise run on that key's default);
+  // a listed key this workload kind does not read is only ignored.
   for (const std::string& err : config.errors()) {
     std::fprintf(stderr, "config: %s\n", err.c_str());
   }
+  hib::Config known;
+  known.ParseString(kDefaultConfig);
+  bool keys_known = true;
   for (const std::string& key : config.UnusedKeys()) {
-    std::fprintf(stderr, "config: unused key '%s' (typo?)\n", key.c_str());
+    if (known.Has(key)) {
+      std::fprintf(stderr, "config: key '%s' is not used by this workload.kind (ignored)\n",
+                   key.c_str());
+    } else {
+      std::fprintf(stderr, "config: key '%s': unknown (see --print-default-config)\n",
+                   key.c_str());
+      keys_known = false;
+    }
   }
-  if (!scheme_known || !workload || !config.errors().empty()) {
+  if (!scheme_known || !keys_known || !workload || !config.errors().empty()) {
     return 1;
   }
 

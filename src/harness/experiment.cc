@@ -8,35 +8,16 @@
 
 namespace hib {
 
-namespace {
-
-// Pull-driven injector: schedules one arrival at a time so multi-million
-// request traces never sit in the event queue at once.
-class TraceInjector {
- public:
-  TraceInjector(Simulator* sim, ArrayController* array, WorkloadSource* workload)
-      : sim_(sim), array_(array), workload_(workload) {}
-
-  void Start() { ScheduleNext(); }
-
- private:
-  void ScheduleNext() {
-    TraceRecord rec;
-    if (!workload_->Next(&rec)) {
-      return;
-    }
-    sim_->ScheduleAt(rec.time, [this, rec] {
-      array_->Submit(rec);
-      ScheduleNext();
-    });
+void TraceInjector::ScheduleNext() {
+  TraceRecord rec;
+  if (!workload_->Next(&rec) || (stop_ > SimTime{} && rec.time > stop_)) {
+    return;
   }
-
-  Simulator* sim_;
-  ArrayController* array_;
-  WorkloadSource* workload_;
-};
-
-}  // namespace
+  sim_->ScheduleAt(rec.time, [this, rec] {
+    array_->Submit(rec);
+    ScheduleNext();
+  });
+}
 
 std::size_t EventCapacityHintFor(const ArrayParams& array_params, double peak_iops) {
   // Pending (not total) events: one injector arrival, at most a handful of
@@ -58,9 +39,8 @@ ExperimentResult RunExperiment(WorkloadSource& workload, PowerPolicy& policy,
   sim.ReserveEvents(options.event_capacity_hint > 0
                         ? options.event_capacity_hint
                         : EventCapacityHintFor(array_params, workload.PeakIopsHint()));
-  if (options.trace_events > 0 || !options.trace_out.empty()) {
-    sim.obs().tracer.Enable(options.trace_events > 0 ? options.trace_events
-                                                     : Tracer::kDefaultCapacity);
+  if (!options.trace_out.empty()) {
+    sim.obs().tracer.Enable();
   }
   ArrayController array(&sim, array_params);
   policy.Attach(&sim, &array);
@@ -194,26 +174,8 @@ Duration MeasureBaseResponseMs(WorkloadSource& workload, const ArrayParams& arra
   FullPowerPolicy base;
   base.Attach(&sim, &array);
   workload.Reset();
-  TraceRecord rec;
-  // Inject pull-driven as in RunExperiment but bounded by probe_ms.
-  std::function<void()> schedule_next = [&]() {
-    TraceRecord r;
-    if (!workload.Next(&r)) {
-      return;
-    }
-    if (probe_ms > Duration{} && r.time > probe_ms) {
-      return;
-    }
-    // Pull-driven injection: sim/array/schedule_next live in this frame, and
-    // RunUntil below drains the queue before the frame returns, so the by-ref
-    // captures outlive every event.  schedule_next must be by-ref (it names
-    // itself); r is copied.
-    sim.ScheduleAt(r.time, [&, r] {  // NOLINT(HIB023)
-      array.Submit(r);
-      schedule_next();
-    });
-  };
-  schedule_next();
+  TraceInjector injector(&sim, &array, &workload, probe_ms);
+  injector.Start();
   SimTime bound = probe_ms > Duration{} ? probe_ms : Hours(24.0 * 365.0);
   sim.RunUntil(bound + Seconds(30.0));
   workload.Reset();

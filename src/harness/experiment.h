@@ -5,7 +5,6 @@
 #ifndef HIBERNATOR_SRC_HARNESS_EXPERIMENT_H_
 #define HIBERNATOR_SRC_HARNESS_EXPERIMENT_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,11 +75,9 @@ struct ExperimentOptions {
   // EventCapacityHintFor), never below the old fixed default of 4096.
   std::size_t event_capacity_hint = 0;
 
-  // Tracing: a nonzero `trace_events` (ring capacity) or a nonempty
-  // `trace_out` enables the tracer for the run.  `trace_out` writes a
+  // A nonempty `trace_out` enables the tracer for the run and writes a
   // Chrome/Perfetto trace_event JSON file at the end; `metrics_out` writes
   // the metrics snapshot as JSON.
-  std::size_t trace_events = 0;
   std::string trace_out;
   std::string metrics_out;
 };
@@ -89,6 +86,30 @@ struct ExperimentOptions {
 // with the given peak arrival rate (requests/second; 0 = unknown), clamped to
 // [4096, 1 << 20].  Used when ExperimentOptions::event_capacity_hint is 0.
 std::size_t EventCapacityHintFor(const ArrayParams& array_params, double peak_iops);
+
+// Pull-driven injector: keeps one arrival of `workload` (from its current
+// position) scheduled at a time, so multi-million-request traces never sit
+// in the event queue at once.  With a positive `stop`, the first record
+// stamped after it ends the injection.  Scheduled arrivals point back at the
+// injector: it must outlive the run.
+class TraceInjector {
+ public:
+  TraceInjector(Simulator* sim, ArrayController* array, WorkloadSource* workload,
+                SimTime stop = SimTime{})
+      : sim_(sim), array_(array), workload_(workload), stop_(stop) {}
+  TraceInjector(const TraceInjector&) = delete;
+  TraceInjector& operator=(const TraceInjector&) = delete;
+
+  void Start() { ScheduleNext(); }
+
+ private:
+  void ScheduleNext();
+
+  Simulator* sim_;
+  ArrayController* array_;
+  WorkloadSource* workload_;
+  SimTime stop_;
+};
 
 // Replays `workload` (from its current position; call Reset() first for a
 // fresh pass) through a new array configured by `array_params`, managed by

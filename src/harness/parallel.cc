@@ -122,15 +122,6 @@ ExperimentSpec SpecForScheme(const SchemeConfig& config, const ArrayParams& base
   spec.make_policy = [config] { return MakePolicy(config); };
   spec.make_workload = std::move(make_workload);
   spec.options = options;
-  if (spec.options.event_capacity_hint == 0 && spec.make_workload) {
-    // Size the event queue from the workload's own peak-rate estimate so the
-    // run never grows it mid-flight.  The probe is discarded immediately, but
-    // it is not free: an OLTP probe builds its whole Zipf table (3.4 MB for
-    // the 425k-chunk array).
-    std::unique_ptr<WorkloadSource> probe = spec.make_workload(spec.array);
-    spec.options.event_capacity_hint =
-        EventCapacityHintFor(spec.array, probe ? probe->PeakIopsHint() : 0.0);
-  }
   return spec;
 }
 

@@ -36,6 +36,23 @@ const char* SchemeName(Scheme scheme) {
   return "?";
 }
 
+std::optional<Scheme> SchemeByName(std::string_view name) {
+  for (Scheme scheme : AllSchemes()) {
+    if (name == SchemeName(scheme)) {
+      return scheme;
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<Scheme> AllSchemes() {
+  std::vector<Scheme> all;
+  for (int i = 0; i <= static_cast<int>(Scheme::kHibernatorUtilThreshold); ++i) {
+    all.push_back(static_cast<Scheme>(i));
+  }
+  return all;
+}
+
 std::vector<Scheme> MainComparisonSchemes() {
   return {Scheme::kBase, Scheme::kTpm,  Scheme::kDrpm,
           Scheme::kPdc,  Scheme::kMaid, Scheme::kHibernator};

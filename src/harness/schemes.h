@@ -9,7 +9,9 @@
 #define HIBERNATOR_SRC_HARNESS_SCHEMES_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/array/array.h"
@@ -27,10 +29,16 @@ enum class Scheme {
   kHibernator,
   kHibernatorNoMigration,  // ablation: speeds only, data stays put
   kHibernatorNoBoost,      // ablation: no performance guarantee
-  kHibernatorUtilThreshold,  // ablation: naive speed setter instead of CR
+  kHibernatorUtilThreshold,  // ablation: naive speed setter instead of CR (keep last)
 };
 
 const char* SchemeName(Scheme scheme);
+
+// The scheme SchemeName() calls `name`, if any.
+std::optional<Scheme> SchemeByName(std::string_view name);
+
+// Every scheme, in declaration order.
+std::vector<Scheme> AllSchemes();
 
 // All schemes in the paper's main comparison figures, in display order.
 std::vector<Scheme> MainComparisonSchemes();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace hib {
 
@@ -121,49 +120,6 @@ void Ewma::Add(double x) {
 void Ewma::Reset() {
   value_ = 0.0;
   initialized_ = false;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets == 0 ? 1 : buckets, 0) {}
-
-void Histogram::Add(double x) {
-  double span = hi_ - lo_;
-  auto n = static_cast<double>(counts_.size());
-  auto idx = static_cast<std::int64_t>((x - lo_) / span * n);
-  if (idx < 0) {
-    idx = 0;
-  }
-  if (idx >= static_cast<std::int64_t>(counts_.size())) {
-    idx = static_cast<std::int64_t>(counts_.size()) - 1;
-  }
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-void Histogram::Reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i + 1); }
-
-std::string Histogram::ToString(int width) const {
-  std::ostringstream out;
-  std::int64_t max_count = 1;
-  for (auto c : counts_) {
-    max_count = std::max(max_count, c);
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    int bar = static_cast<int>(static_cast<double>(counts_[i]) /
-                               static_cast<double>(max_count) * width);
-    out << "[" << bucket_lo(i) << ", " << bucket_hi(i) << ") " << std::string(bar, '#') << " "
-        << counts_[i] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace hib

@@ -4,7 +4,6 @@
 #define HIBERNATOR_SRC_UTIL_STATS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/util/units.h"
@@ -91,31 +90,6 @@ class Ewma {
   double alpha_;
   double value_ = 0.0;
   bool initialized_ = false;
-};
-
-// Fixed-bucket linear histogram over [lo, hi); out-of-range values clamp to the
-// first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-  void Reset();
-
-  std::int64_t bucket_count(std::size_t i) const { return counts_[i]; }
-  std::size_t buckets() const { return counts_.size(); }
-  std::int64_t total() const { return total_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
-  // Render as a compact ASCII bar chart, one bucket per line.
-  std::string ToString(int width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
 };
 
 }  // namespace hib

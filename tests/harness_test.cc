@@ -33,11 +33,19 @@ ConstantWorkloadParams TinyWorkload(SectorAddr space) {
 // ------------------------------------------------------- scheme registry ---
 
 TEST(Schemes, AllSchemesHaveNames) {
-  for (Scheme s : {Scheme::kBase, Scheme::kTpm, Scheme::kDrpm, Scheme::kPdc, Scheme::kMaid,
-                   Scheme::kHibernator, Scheme::kHibernatorNoMigration,
-                   Scheme::kHibernatorNoBoost, Scheme::kHibernatorUtilThreshold}) {
+  ASSERT_EQ(AllSchemes().size(), 10u);
+  for (Scheme s : AllSchemes()) {
     EXPECT_STRNE(SchemeName(s), "?");
   }
+}
+
+TEST(Schemes, SchemeByNameInvertsSchemeName) {
+  for (Scheme s : AllSchemes()) {
+    EXPECT_EQ(SchemeByName(SchemeName(s)), s) << SchemeName(s);
+  }
+  EXPECT_EQ(SchemeByName("Hibernatr"), std::nullopt);
+  EXPECT_EQ(SchemeByName("hibernator"), std::nullopt);
+  EXPECT_EQ(SchemeByName(""), std::nullopt);
 }
 
 TEST(Schemes, MainComparisonOrderMatchesPaper) {
@@ -105,6 +113,30 @@ TEST(Experiment, DurationMatchesTracePlusDrain) {
   options.drain_ms = Seconds(10.0);
   ExperimentResult r = RunExperiment(workload, *policy, array, options);
   EXPECT_NEAR(r.sim_duration_ms.value(), (Hours(0.5) + Seconds(10.0)).value(), 1.0);
+}
+
+TEST(Experiment, InjectorStopsAtFirstRecordAfterStopTime) {
+  ArrayParams params = TinyArray();
+  const SimTime stop = Seconds(90.0);
+  ConstantWorkload reference(TinyWorkload(params.DataSectors()));
+  std::int64_t before_stop = 0;
+  TraceRecord rec;
+  while (reference.Next(&rec) && rec.time <= stop) {
+    ++before_stop;
+  }
+  Simulator sim;
+  ArrayController array(&sim, params);
+  ConstantWorkload workload(TinyWorkload(params.DataSectors()));
+  TraceInjector injector(&sim, &array, &workload, stop);
+  injector.Start();
+  sim.RunUntil(Hours(1.0));
+  EXPECT_GT(before_stop, 1000);
+  EXPECT_EQ(array.stats().total_responses, before_stop);
+  // The source was pulled exactly one record past the stop.
+  TraceRecord next;
+  ASSERT_TRUE(reference.Next(&next));
+  ASSERT_TRUE(workload.Next(&rec));
+  EXPECT_EQ(rec.time, next.time);
 }
 
 TEST(Experiment, MeanPowerConsistentWithEnergy) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/array/array.h"
+#include "src/harness/experiment.h"
 #include "src/hibernator/hibernator_policy.h"
 #include "src/sim/simulator.h"
 #include "src/trace/synthetic.h"
@@ -27,26 +28,8 @@ HibernatorParams TestParams(Duration goal_ms = Ms(25.0)) {
 
 // Replays a workload inline (pull-driven) against an array + policy.
 void Replay(Simulator& sim, ArrayController& array, WorkloadSource& workload, SimTime until) {
-  struct Pump : std::enable_shared_from_this<Pump> {
-    Simulator* sim;
-    ArrayController* array;
-    WorkloadSource* workload;
-    void Next() {
-      TraceRecord rec;
-      if (!workload->Next(&rec)) {
-        return;
-      }
-      sim->ScheduleAt(rec.time, [self = shared_from_this(), rec] {
-        self->array->Submit(rec);
-        self->Next();
-      });
-    }
-  };
-  auto pump = std::make_shared<Pump>();
-  pump->sim = &sim;
-  pump->array = &array;
-  pump->workload = &workload;
-  pump->Next();
+  TraceInjector injector(&sim, &array, &workload);
+  injector.Start();
   sim.RunUntil(until);
 }
 

@@ -7,6 +7,7 @@
 #include "src/array/array.h"
 #include "src/array/layout.h"
 #include "src/disk/disk.h"
+#include "src/harness/experiment.h"
 #include "src/hibernator/cr_algorithm.h"
 #include "src/hibernator/hibernator_policy.h"
 #include "src/queueing/mg1.h"
@@ -188,17 +189,8 @@ TEST_P(HibernatorGoalSweep, CumulativeMeanStaysNearGoal) {
   wp.peak_iops = 60.0;
   wp.trough_iops = 30.0;
   OltpWorkload workload(wp);
-  TraceRecord rec;
-  std::function<void()> next = [&] {
-    TraceRecord r;
-    if (workload.Next(&r)) {
-      sim.ScheduleAt(r.time, [&, r] {
-        array.Submit(r);
-        next();
-      });
-    }
-  };
-  next();
+  TraceInjector injector(&sim, &array, &workload);
+  injector.Start();
   sim.RunUntil(Hours(3.0) + Seconds(30.0));
 
   // The credit account bounds the cumulative mean near the goal (the bank

@@ -539,35 +539,6 @@ TEST(Ewma, SmoothingFactorApplied) {
   EXPECT_DOUBLE_EQ(e.current(), 5.0);
 }
 
-// ----------------------------------------------------------- Histogram -----
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(5.5);
-  h.Add(-1.0);   // clamps to first
-  h.Add(100.0);  // clamps to last
-  EXPECT_EQ(h.bucket_count(0), 2);
-  EXPECT_EQ(h.bucket_count(5), 1);
-  EXPECT_EQ(h.bucket_count(9), 1);
-  EXPECT_EQ(h.total(), 4);
-}
-
-TEST(Histogram, BucketBounds) {
-  Histogram h(0.0, 100.0, 4);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 25.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 75.0);
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h(0.0, 1.0, 2);
-  h.Add(0.5);
-  h.Reset();
-  EXPECT_EQ(h.total(), 0);
-  EXPECT_EQ(h.bucket_count(1), 0);
-}
-
 // -------------------------------------------------------------- Table ------
 
 TEST(Table, RendersAlignedHeadersAndRows) {

@@ -2,13 +2,17 @@
 // the HIBT binary format (src/trace/format.h), generates compiled traces
 // straight from the workload zoo, morphs existing compiled traces, and dumps
 // trace summaries.  See README "Trace pipeline" for a quickstart.
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/trace/format.h"
 #include "src/trace/morph.h"
@@ -33,44 +37,65 @@ int Usage() {
   return 2;
 }
 
-// Minimal --flag VALUE parser over the arguments after the positional ones.
-struct Flags {
-  std::vector<std::pair<std::string, std::string>> values;
+// The --flag VALUE pairs after the positional arguments.  Every tracec flag
+// is numeric, so ParseFlags admits only the flags a subcommand takes, each
+// with a value that is wholly a finite number of its kind.
+struct FlagRule {
+  const char* name = nullptr;
+  bool integer = false;
+  bool positive = false;
+};
 
-  bool Has(const std::string& name) const {
-    for (const auto& kv : values) {
-      if (kv.first == name) {
-        return true;
-      }
-    }
-    return false;
-  }
+struct Flags {
+  std::map<std::string, std::string> values;
+
+  bool Has(const std::string& name) const { return values.count(name) > 0; }
   double Get(const std::string& name, double fallback) const {
-    for (const auto& kv : values) {
-      if (kv.first == name) {
-        return std::strtod(kv.second.c_str(), nullptr);
-      }
-    }
-    return fallback;
+    return Has(name) ? std::strtod(values.at(name).c_str(), nullptr) : fallback;
   }
   std::int64_t GetInt(const std::string& name, std::int64_t fallback) const {
-    for (const auto& kv : values) {
-      if (kv.first == name) {
-        return std::strtoll(kv.second.c_str(), nullptr, 10);
-      }
-    }
-    return fallback;
+    return Has(name) ? std::strtoll(values.at(name).c_str(), nullptr, 10) : fallback;
   }
 };
 
-bool ParseFlags(int argc, char** argv, int start, Flags* flags) {
+// Parses argv[start..] against `rules`; on the first bad flag, names it on
+// stderr and returns false.
+bool ParseFlags(int argc, char** argv, int start, std::initializer_list<FlagRule> rules,
+                Flags* flags) {
   for (int i = start; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0 || i + 1 >= argc) {
       std::cerr << "tracec: bad or valueless flag '" << arg << "'\n";
       return false;
     }
-    flags->values.emplace_back(arg.substr(2), argv[++i]);
+    const std::string name = arg.substr(2);
+    const std::string value = argv[++i];
+    const FlagRule* rule = nullptr;
+    for (const FlagRule& r : rules) {
+      if (name == r.name) {
+        rule = &r;
+      }
+    }
+    if (rule == nullptr) {
+      std::cerr << "tracec " << argv[1] << ": unknown flag " << arg << "\n";
+      return false;
+    }
+    char* end = nullptr;
+    errno = 0;
+    const double number = rule->integer
+                              ? static_cast<double>(std::strtoll(value.c_str(), &end, 10))
+                              : std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(number)) {
+      std::cerr << "tracec " << argv[1] << ": " << arg << " needs "
+                << (rule->integer ? "an integer" : "a number") << ", got '" << value << "'\n";
+      return false;
+    }
+    if (rule->positive && number <= 0.0) {
+      std::cerr << "tracec " << argv[1] << ": " << arg << " must be positive, got " << value
+                << "\n";
+      return false;
+    }
+    flags->values[name] = value;
   }
   return true;
 }
@@ -93,7 +118,8 @@ int Compile(int argc, char** argv) {
     return Usage();
   }
   Flags flags;
-  if (!ParseFlags(argc, argv, 4, &flags)) {
+  if (!ParseFlags(argc, argv, 4,
+                  {{"space", true, true}, {"asus", true, true}, {"block", true, true}}, &flags)) {
     return 2;
   }
   const SectorAddr space = flags.GetInt("space", 0);
@@ -142,7 +168,12 @@ int Gen(int argc, char** argv) {
     return Usage();
   }
   Flags flags;
-  if (!ParseFlags(argc, argv, 4, &flags)) {
+  if (!ParseFlags(argc, argv, 4,
+                  {{"hours", false, true},
+                   {"space", true, true},
+                   {"iops", false, true},
+                   {"seed", true, false}},
+                  &flags)) {
     return 2;
   }
   const std::string kind = argv[2];
@@ -218,7 +249,13 @@ int Morph(int argc, char** argv) {
     return Usage();
   }
   Flags flags;
-  if (!ParseFlags(argc, argv, 4, &flags)) {
+  if (!ParseFlags(argc, argv, 4,
+                  {{"rate-x", true, true},
+                   {"remap", true, true},
+                   {"phase-hours", false, false},
+                   {"sample", false, false},
+                   {"seed", true, false}},
+                  &flags)) {
     return 2;
   }
   auto compiled = CompiledTraceReader::Open(argv[2]);
@@ -233,20 +270,16 @@ int Morph(int argc, char** argv) {
   // Stack order matters: remap first (into the target space), then scale
   // (replicas spread over that space), then phase, then sample.
   if (flags.Has("remap")) {
-    const SectorAddr target = flags.GetInt("remap", 0);
-    if (target <= 0) {
-      std::cerr << "tracec morph: --remap needs a positive sector count\n";
-      return 2;
-    }
-    source = std::make_unique<LbaRemapMorph>(std::move(source), target);
+    source = std::make_unique<LbaRemapMorph>(std::move(source), flags.GetInt("remap", 0));
   }
   if (flags.Has("rate-x")) {
-    const int factor = static_cast<int>(flags.GetInt("rate-x", 1));
-    if (factor < 1) {
-      std::cerr << "tracec morph: --rate-x needs a factor >= 1\n";
+    const std::int64_t factor = flags.GetInt("rate-x", 1);
+    if (factor > std::numeric_limits<int>::max()) {
+      std::cerr << "tracec morph: --rate-x must be at most " << std::numeric_limits<int>::max()
+                << "\n";
       return 2;
     }
-    source = std::make_unique<RateScaleMorph>(std::move(source), factor);
+    source = std::make_unique<RateScaleMorph>(std::move(source), static_cast<int>(factor));
   }
   if (flags.Has("phase-hours")) {
     source = std::make_unique<PhaseSpliceMorph>(std::move(source),
