@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "src/policy/tpm.h"
-
 #include "src/util/check.h"
 
 namespace hib {
@@ -12,7 +10,7 @@ std::string MaidPolicy::Describe() const {
   std::ostringstream out;
   out << "MAID(cache_disks=" << (array_ ? array_->num_cache_disks() : 0)
       << ", cache_extents=" << capacity_extents_
-      << ", threshold=" << ToSeconds(threshold_ms_) << "s)";
+      << ", threshold=" << ToSeconds(tpm_.threshold()) << "s)";
   return out.str();
 }
 
@@ -20,8 +18,6 @@ void MaidPolicy::Attach(Simulator* sim, ArrayController* array) {
   HIB_CHECK_GT(array->num_cache_disks(), 0) << "MAID needs at least one cache disk";
   sim_ = sim;
   array_ = array;
-  threshold_ms_ = params_.idle_threshold_ms > Duration{} ? params_.idle_threshold_ms
-                                                  : TpmBreakEvenMs(array->params().disk);
   if (params_.cache_extents > 0) {
     capacity_extents_ = params_.cache_extents;
   } else {
@@ -58,7 +54,7 @@ void MaidPolicy::Attach(Simulator* sim, ArrayController* array) {
     }
   });
 
-  sim_->SchedulePeriodic(params_.poll_period_ms, params_.poll_period_ms, [this] { Poll(); });
+  tpm_.Attach(sim, array);
 }
 
 void MaidPolicy::Finish() {
@@ -101,19 +97,6 @@ void MaidPolicy::EvictIfNeeded() {
     std::int64_t victim = lru_.back();
     lru_.pop_back();
     resident_.erase(victim);
-  }
-}
-
-void MaidPolicy::Poll() {
-  for (int i = 0; i < array_->num_data_disks(); ++i) {
-    Disk& disk = array_->disk(i);
-    if (disk.FullyIdle() && sim_->Now() - disk.last_activity() >= threshold_ms_) {
-      if (disk.SpinDown()) {
-        sim_->obs().metrics.GetCounter("policy.spin_down_decisions").Add(1);
-        HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "spin-down",
-                          sim_->Now(), i, static_cast<double>(i));
-      }
-    }
   }
 }
 

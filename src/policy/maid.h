@@ -17,6 +17,7 @@
 #include <map>
 
 #include "src/policy/policy.h"
+#include "src/policy/tpm.h"
 
 namespace hib {
 
@@ -26,12 +27,12 @@ struct MaidParams {
   std::int64_t cache_extents = -1;
   // TPM threshold for data disks; <= 0 = break-even.
   Duration idle_threshold_ms = Ms(-1.0);
-  Duration poll_period_ms = Seconds(1.0);
 };
 
 class MaidPolicy : public PowerPolicy {
  public:
-  explicit MaidPolicy(MaidParams params = {}) : params_(params) {}
+  explicit MaidPolicy(MaidParams params = {})
+      : params_(params), tpm_(TpmParams{params.idle_threshold_ms}) {}
 
   std::string Name() const override { return "MAID"; }
   std::string Describe() const override;
@@ -49,12 +50,11 @@ class MaidPolicy : public PowerPolicy {
   int LookupCache(std::int64_t extent);
   void InsertCache(std::int64_t extent);
   void EvictIfNeeded();
-  void Poll();
 
   MaidParams params_;
+  TpmPolicy tpm_;
   Simulator* sim_ = nullptr;
   ArrayController* array_ = nullptr;
-  Duration threshold_ms_;
   std::int64_t capacity_extents_ = 0;
   int next_cache_disk_ = 0;
 

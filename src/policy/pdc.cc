@@ -3,8 +3,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/policy/tpm.h"
-
 #include "src/util/check.h"
 
 namespace hib {
@@ -13,7 +11,7 @@ std::string PdcPolicy::Describe() const {
   std::ostringstream out;
   out << "PDC(reorg=" << params_.reorg_period_ms / Hours(1.0)
       << "h, budget=" << params_.migration_budget_extents
-      << " extents, threshold=" << ToSeconds(threshold_ms_) << "s)";
+      << " extents, threshold=" << ToSeconds(tpm_.threshold()) << "s)";
   return out.str();
 }
 
@@ -22,11 +20,9 @@ void PdcPolicy::Attach(Simulator* sim, ArrayController* array) {
       << "PDC requires an unstriped (width-1) layout";
   sim_ = sim;
   array_ = array;
-  threshold_ms_ = params_.idle_threshold_ms > Duration{} ? params_.idle_threshold_ms
-                                                  : TpmBreakEvenMs(array->params().disk);
   sim_->SchedulePeriodic(params_.reorg_period_ms, params_.reorg_period_ms,
                          [this] { Reorganize(); });
-  sim_->SchedulePeriodic(params_.poll_period_ms, params_.poll_period_ms, [this] { Poll(); });
+  tpm_.Attach(sim, array);
 }
 
 void PdcPolicy::Reorganize() {
@@ -52,19 +48,6 @@ void PdcPolicy::Reorganize() {
   HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "reorganize",
                     sim_->Now(), 0,
                     static_cast<double>(params_.migration_budget_extents - budget));
-}
-
-void PdcPolicy::Poll() {
-  for (int i = 0; i < array_->num_data_disks(); ++i) {
-    Disk& disk = array_->disk(i);
-    if (disk.FullyIdle() && sim_->Now() - disk.last_activity() >= threshold_ms_) {
-      if (disk.SpinDown()) {
-        sim_->obs().metrics.GetCounter("policy.spin_down_decisions").Add(1);
-        HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "spin-down",
-                          sim_->Now(), i, static_cast<double>(i));
-      }
-    }
-  }
 }
 
 }  // namespace hib

@@ -2,7 +2,7 @@
 //
 // Periodically migrates the most popular data onto the first disks of the
 // array (disk 0 holds the hottest extents, disk 1 the next-hottest, ...) so
-// the trailing disks go cold and a TPM-style threshold can spin them down.
+// the trailing disks go cold and a TPM threshold can spin them down.
 // PDC assumes an unstriped layout (each extent lives on exactly one disk), so
 // the array must be configured with group_width == 1.
 //
@@ -15,6 +15,7 @@
 #include <string>
 
 #include "src/policy/policy.h"
+#include "src/policy/tpm.h"
 
 namespace hib {
 
@@ -24,12 +25,12 @@ struct PdcParams {
   std::int64_t migration_budget_extents = 2048;
   // TPM spin-down threshold for the cold disks; <= 0 = break-even.
   Duration idle_threshold_ms = Ms(-1.0);
-  Duration poll_period_ms = Seconds(1.0);
 };
 
 class PdcPolicy : public PowerPolicy {
  public:
-  explicit PdcPolicy(PdcParams params = {}) : params_(params) {}
+  explicit PdcPolicy(PdcParams params = {})
+      : params_(params), tpm_(TpmParams{params.idle_threshold_ms}) {}
 
   std::string Name() const override { return "PDC"; }
   std::string Describe() const override;
@@ -38,10 +39,9 @@ class PdcPolicy : public PowerPolicy {
 
  private:
   void Reorganize();
-  void Poll();
 
   PdcParams params_;
-  Duration threshold_ms_;
+  TpmPolicy tpm_;
   Simulator* sim_ = nullptr;
   ArrayController* array_ = nullptr;
 };

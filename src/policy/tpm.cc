@@ -29,9 +29,7 @@ void TpmPolicy::Attach(Simulator* sim, ArrayController* array) {
 }
 
 void TpmPolicy::Poll() {
-  int first = params_.first_disk >= 0 ? params_.first_disk : 0;
-  int last = params_.last_disk >= 0 ? params_.last_disk : array_->num_data_disks();
-  for (int i = first; i < last; ++i) {
+  for (int i = 0; i < array_->num_data_disks(); ++i) {
     Disk& disk = array_->disk(i);
     if (disk.FullyIdle() && sim_->Now() - disk.last_activity() >= threshold_ms_) {
       if (disk.SpinDown()) {

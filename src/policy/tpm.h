@@ -23,9 +23,6 @@ struct TpmParams {
   // Idle threshold before spin-down; <= 0 selects the break-even time.
   Duration idle_threshold_ms = Ms(-1.0);
   Duration poll_period_ms = Seconds(1.0);
-  // Only manage data disks with ids in [first_disk, last_disk); -1 = all.
-  int first_disk = -1;
-  int last_disk = -1;
 };
 
 // The break-even idle time for a disk: (spin-down + spin-up energy) /
@@ -40,6 +37,9 @@ class TpmPolicy : public PowerPolicy {
   std::string Describe() const override;
 
   void Attach(Simulator* sim, ArrayController* array) override;
+
+  // The idle threshold in force; set by Attach.
+  Duration threshold() const { return threshold_ms_; }
 
  private:
   void Poll();

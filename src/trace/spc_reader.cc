@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "src/util/check.h"
 #include "src/util/log.h"
 
 namespace hib {
@@ -120,9 +119,6 @@ bool SpcTraceReader::Next(TraceRecord* out) {
     if (time_order_ != TimeOrderPolicy::kAccept && out->time < last_time_) {
       // SPC traces are sorted by definition; a backwards timestamp means the
       // file is damaged, not that the clock should be repaired for it.
-      HIB_CHECK(time_order_ != TimeOrderPolicy::kAbort)
-          << "non-monotonic SPC timestamp at line " << line_number_ << ": " << out->time
-          << " after " << last_time_;
       ++time_order_errors_;
       if (time_order_errors_ == 1) {
         HIB_LOG(kWarning) << "SPC trace: rejecting non-monotonic record at line " << line_number_

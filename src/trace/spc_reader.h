@@ -34,7 +34,6 @@ namespace hib {
 // would hide exactly the corruption the trace compiler needs surfaced.
 enum class TimeOrderPolicy {
   kReject,  // drop the record, count it in time_order_errors(), keep going
-  kAbort,   // HIB_CHECK-fail with the offending timestamps (strict tools)
   kAccept,  // pass records through unordered (the trace compiler sorts)
 };
 

@@ -98,25 +98,12 @@ TEST(Tpm, SpinUpOnDemandServesRequest) {
   EXPECT_GT(response, Seconds(10.0));  // paid the spin-up
 }
 
-TEST(Tpm, DiskRangeRestriction) {
-  Simulator sim;
-  ArrayController array(&sim, TestArray());
-  TpmParams params;
-  params.idle_threshold_ms = Seconds(5.0);
-  params.first_disk = 4;
-  params.last_disk = 8;
-  TpmPolicy policy(params);
-  policy.Attach(&sim, &array);
-  sim.RunUntil(Seconds(30.0));
-  EXPECT_EQ(array.disk(0).state(), DiskPowerState::kIdle);
-  EXPECT_EQ(array.disk(5).state(), DiskPowerState::kStandby);
-}
-
 TEST(Tpm, DefaultThresholdIsBreakEven) {
   Simulator sim;
   ArrayController array(&sim, TestArray());
   TpmPolicy policy;
   policy.Attach(&sim, &array);
+  EXPECT_EQ(policy.threshold(), TpmBreakEvenMs(array.params().disk));
   EXPECT_NE(policy.Describe().find("TPM"), std::string::npos);
 }
 

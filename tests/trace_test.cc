@@ -426,16 +426,6 @@ TEST(SpcReader, RejectsBackwardsTime) {
   EXPECT_EQ(reader->parse_errors(), 0);  // well-formed line, wrong order
 }
 
-TEST(SpcReaderDeathTest, AbortPolicyDiesOnBackwardsTime) {
-  std::string trace =
-      "0,0,4096,r,5.0\n"
-      "0,0,4096,r,1.0\n";
-  auto reader = SpcTraceReader::FromString(trace, kSpace, 4, TimeOrderPolicy::kAbort);
-  TraceRecord rec;
-  ASSERT_TRUE(reader->Next(&rec));
-  EXPECT_DEATH(reader->Next(&rec), "non-monotonic SPC timestamp at line 2");
-}
-
 TEST(SpcReader, AcceptPolicyPassesBackwardsTimeThrough) {
   // kAccept is for consumers that sort anyway (the trace compiler): the raw
   // timestamps come through untouched and nothing is counted as an error.

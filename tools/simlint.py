@@ -18,11 +18,7 @@ function-like `#define` macros treated as call-graph nodes so `HIB_LOG(...)`
 reaches `LogMessage`.  Four interprocedural rules run on the graph
 (HIB018-HIB021 below); their findings carry the full witness chain — the
 call path or taint path from root to violation — rendered as indented
-`note:` lines in text output and as SARIF `codeFlows`.  Per-file models are
-memoized in an on-disk cache keyed by content hash + engine version, so warm
-runs skip tokenizing/parsing entirely (the call graph and the
-interprocedural rules are recomputed every run: they are whole-program
-facts and are cheap next to parsing).
+`note:` lines in text output and as SARIF `codeFlows`.
 
 v4 teaches the engine the annotation vocabulary from
 src/util/thread_annotations.h (HIB_SHARD_LOCAL, HIB_THREAD_CONTEXT(...),
@@ -198,15 +194,12 @@ Usage:
   tools/simlint.py --sarif out.sarif  # also write SARIF 2.1.0 (code scanning)
   tools/simlint.py --fix              # apply mechanical fixes (HIB001, HIB009)
   tools/simlint.py --jobs N           # parallel file scanning (default: cpus)
-  tools/simlint.py --cache FILE       # incremental cache (default: .simlint-cache.json)
-  tools/simlint.py --no-cache         # disable the incremental cache
 
 Exit status: 0 when clean, 1 when any finding is reported, 2 on usage error.
 """
 
 import argparse
 import concurrent.futures
-import hashlib
 import json
 import os
 import re
@@ -569,9 +562,7 @@ def parse_suppressions(comments):
 
     Only NOLINT comments that explicitly name HIBxxx rules belong to simlint;
     bare NOLINT and foreign rule lists (clang-tidy's
-    `NOLINT(google-explicit-constructor)` etc.) are left alone.  Rules are a
-    sorted list (not a set) so the whole structure round-trips through the
-    JSON incremental cache.
+    `NOLINT(google-explicit-constructor)` etc.) are left alone.
     """
     sups = []
     for ln, body in comments.items():
@@ -1714,8 +1705,7 @@ def check_directives(rel, is_header, directives, add):
 
 
 def check_layering(rel, directives, add):
-    """HIB025: #include edges between src/<layer>/ dirs must follow the DAG.
-    Purely per-file (directive-shaped), so it caches with the file."""
+    """HIB025: #include edges between src/<layer>/ dirs must follow the DAG."""
     if rel.startswith("src/"):
         layer = rel.split("/")[1]
     elif rel.startswith(LAYERING_FIXTURE_PREFIX):
@@ -1799,8 +1789,6 @@ def token_checks(rel, tokens, add, out):
 
     def tk(i):
         return tokens[i] if 0 <= i < n else ("", "", 0, 0)
-
-    unordered_loop_bodies = []  # (start_line, end_line) for HIB014
 
     i = 0
     while i < n:
@@ -2018,8 +2006,6 @@ def token_checks(rel, tokens, add, out):
 
         i += 1
 
-    out["_unused"] = unordered_loop_bodies  # kept for symmetry; unused
-
 
 # ============================ cross-file resolution =========================
 
@@ -2086,16 +2072,11 @@ def is_scalar_type(type_str, aliases):
 
 
 def cross_file_checks(results, index):
-    """HIB011 / HIB014 / HIB015 need the merged symbol index.
-
-    Findings go into r["xfindings"], not r["findings"]: the per-file lists
-    are what the incremental cache stores, and cross-file conclusions must
-    not be frozen into them (another file changing can change the verdict).
-    """
+    """HIB011 / HIB014 / HIB015 need the merged symbol index."""
     aliases = index["aliases"]
     for r in results:
         rel = r["rel"]
-        add = lambda line, col, rule, msg: r["xfindings"].append(
+        add = lambda line, col, rule, msg: r["findings"].append(
             (line, col, rule, msg, None, []))
 
         if not rel.startswith(DETERMINISM_EXEMPT_PREFIXES):
@@ -2305,7 +2286,7 @@ def _chain(key, parents, graph, root_label):
 
 def interprocedural_checks(results, index):
     """HIB018 / HIB019 / HIB020 on the merged call graph.  Findings land in
-    the owning file's xfindings with a root->site witness chain."""
+    the owning file's findings with a root->site witness chain."""
     graph = build_call_graph(results, index)
     nodes, resolve = graph["nodes"], graph["resolve"]
     by_rel = {r["rel"]: r for r in results}
@@ -2316,7 +2297,7 @@ def interprocedural_checks(results, index):
     def emit(rel, line, col, rule, msg, flow):
         r = by_rel.get(rel)
         if r is not None:
-            r["xfindings"].append((line, col, rule, msg, None, flow))
+            r["findings"].append((line, col, rule, msg, None, flow))
 
     # ---- HIB018: transitive hot-path allocation ----
     parents = _reach(HOT_PATH_ROOTS, graph)
@@ -2774,15 +2755,7 @@ def interprocedural_checks(results, index):
 
 # ============================ suppression filtering =========================
 
-# Rules whose findings need the whole call graph in scope.  A scan of a file
-# subset (--partial, used by tools/precommit.sh) cannot prove that a NOLINT
-# for one of these is stale: the root that makes it fire may simply not be in
-# the scanned set.
-INTERPROC_RULES = frozenset(
-    {"HIB018", "HIB019", "HIB020", "HIB022", "HIB023", "HIB024"})
-
-
-def apply_suppressions(results, partial=False):
+def apply_suppressions(results):
     final = []
     for r in results:
         rel = r["rel"]
@@ -2792,17 +2765,14 @@ def apply_suppressions(results, partial=False):
         sups = r["suppressions"]
         by_line = {}
         for s in sups:
-            s["used"] = False  # results may come from the cache, reset state
             by_line.setdefault(s["target_line"], []).append(s)
         # v4: when the interprocedural HIB018 confirms an allocation the
         # syntactic HIB017 also flagged, only the HIB018 finding survives —
         # it carries the witness chain, and two findings on one line are
         # noise.  (Suppressions are still matched first, so a NOLINT(HIB017)
         # on such a line stays "used" rather than going stale.)
-        hib018_lines = {f[0] for f in r.get("xfindings", [])
-                        if f[2] == "HIB018"}
-        for line, col, rule, msg, fix, flow in \
-                list(r["findings"]) + list(r.get("xfindings", [])):
+        hib018_lines = {f[0] for f in r["findings"] if f[2] == "HIB018"}
+        for line, col, rule, msg, fix, flow in r["findings"]:
             suppressed = False
             for s in by_line.get(line, []):
                 if rule in s["rules"]:
@@ -2814,8 +2784,6 @@ def apply_suppressions(results, partial=False):
                 final.append(Finding(rel, line, rule, msg, col, fix, flow))
         for s in sups:
             if not s["used"]:
-                if partial and set(s["rules"]) & INTERPROC_RULES:
-                    continue  # the proving root may be outside the scanned set
                 rules = ", ".join(sorted(s["rules"]))
                 final.append(Finding(
                     rel, s["decl_line"], "HIB099",
@@ -2992,88 +2960,20 @@ def gather_files(paths):
     return files
 
 
-# --- incremental cache ------------------------------------------------------
-# Per-file analysis results keyed by content hash + engine version.  Only the
-# pure per-file model is cached (findings, suppressions, declarations, facts);
-# cross-file and interprocedural conclusions (xfindings) are recomputed every
-# run, so a cached file still picks up verdict changes caused by *other*
-# files changing.
-
-DEFAULT_CACHE = os.path.join(REPO_ROOT, ".simlint-cache.json")
-
-
-def load_cache(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cache = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {"version": SIMLINT_VERSION, "files": {}}
-    if cache.get("version") != SIMLINT_VERSION:
-        return {"version": SIMLINT_VERSION, "files": {}}
-    cache.setdefault("files", {})
-    return cache
-
-
-def save_cache(path, cache):
-    # Prune entries whose file no longer exists (tmp fixtures, renames).
-    cache["files"] = {
-        rel: entry for rel, entry in cache["files"].items()
-        if os.path.exists(os.path.join(REPO_ROOT, rel)) or os.path.exists(rel)
-    }
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, separators=(",", ":"))
-        os.replace(tmp, path)
-    except OSError:
-        pass  # caching is best-effort; never fail the lint over it
-
-
-def run_analysis(files, jobs, cache_path=None, partial=False):
-    cache = load_cache(cache_path) if cache_path else None
-    hashes = {}
-    todo = []
-    results_by_path = {}
-    for path in files:
-        try:
-            with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-        except OSError:
-            digest = None
-        hashes[path] = digest
-        rel = rel_path(path)
-        entry = cache["files"].get(rel) if (cache and digest) else None
-        if entry and entry.get("hash") == digest:
-            results_by_path[path] = entry["result"]
-        else:
-            todo.append(path)
-
-    if jobs > 1 and len(todo) > 8:
+def run_analysis(files, jobs):
+    if jobs > 1 and len(files) > 8:
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                fresh = list(pool.map(analyze_file, todo, chunksize=4))
+                results = list(pool.map(analyze_file, files, chunksize=4))
         except (OSError, concurrent.futures.process.BrokenProcessPool):
-            fresh = [analyze_file(p) for p in todo]
+            results = [analyze_file(p) for p in files]
     else:
-        fresh = [analyze_file(p) for p in todo]
-    for path, res in zip(todo, fresh):
-        results_by_path[path] = res
+        results = [analyze_file(p) for p in files]
 
-    results = [results_by_path[p] for p in files]
-    if cache is not None:
-        for path in todo:
-            digest = hashes.get(path)
-            res = results_by_path[path]
-            if digest and not res.get("error"):
-                cache["files"][res["rel"]] = {"hash": digest, "result": res}
-        save_cache(cache_path, cache)
-
-    for r in results:
-        r["xfindings"] = []
     index = build_index(results)
     cross_file_checks(results, index)
     interprocedural_checks(results, index)
-    return apply_suppressions(results, partial=partial)
+    return apply_suppressions(results)
 
 
 # --- --explain ---------------------------------------------------------------
@@ -3161,8 +3061,8 @@ EXPLAIN = {
         "keeps shard-owned state (HIB022) and contracts (HIB024) auditable: "
         "a lower layer reaching up can smuggle references across subsystem "
         "boundaries no local analysis will see.  HIB025 checks every "
-        '#include "src/<layer>/..." edge against the DAG; it is per-file and '
-        "cached, so it costs nothing warm.",
+        '#include "src/<layer>/..." edge against the DAG; it reads only the '
+        "file's own #include lines.",
         "layering/disk/bad_layering.cc"),
     "HIB026": (
         "The compiled trace format (HIBT) is validated in exactly one place: "
@@ -3227,16 +3127,6 @@ def main(argv):
                              "to-seconds conversions), then report the rest")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="parallel worker processes (default: cpu count)")
-    parser.add_argument("--cache", metavar="FILE", default=DEFAULT_CACHE,
-                        help="incremental cache file "
-                             "(default: <repo>/.simlint-cache.json)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache")
-    parser.add_argument("--partial", action="store_true",
-                        help="the paths are a subset of the tree (pre-commit "
-                             "hook): skip HIB099 staleness for suppressions "
-                             "of cross-file rules, whose proving root may be "
-                             "out of scope")
     try:
         args = parser.parse_args(argv[1:])
     except SystemExit as e:
@@ -3254,15 +3144,13 @@ def main(argv):
         os.chdir(REPO_ROOT)
         paths = DEFAULT_PATHS
     files = gather_files(paths)
-    cache_path = None if args.no_cache else args.cache
-    findings = run_analysis(files, max(1, args.jobs), cache_path, args.partial)
+    findings = run_analysis(files, max(1, args.jobs))
 
     if args.fix:
         num_fixed, fixed_keys = apply_fixes(findings)
         if num_fixed:
             print(f"simlint: fixed {num_fixed} finding(s); re-checking", file=sys.stderr)
-            findings = run_analysis(files, max(1, args.jobs), cache_path,
-                                    args.partial)
+            findings = run_analysis(files, max(1, args.jobs))
         else:
             print("simlint: nothing fixable", file=sys.stderr)
 

@@ -19,8 +19,6 @@ Covers:
   * suppression semantics: NOLINT silences the rule, a stale NOLINT is HIB099,
     clang-tidy NOLINTs are ignored;
   * SARIF output is structurally sound and interproc findings carry codeFlows;
-  * the incremental cache returns identical findings warm and invalidates on
-    file edits;
   * --fix repairs HIB001 guards and HIB009 conversions and is idempotent.
 
 Run from anywhere; registered in ctest as `simlint_selftest`.
@@ -130,11 +128,9 @@ FINDING_RE = re.compile(r"^(\S+):(\d+): \[(HIB\d+)\] ")
 NOTE_RE = re.compile(r"^    note: (.*)$")
 
 
-def run_simlint(*argv, raw=False, no_cache=True):
-    cmd = [sys.executable, SIMLINT]
-    if no_cache:
-        cmd.append("--no-cache")
-    proc = subprocess.run(cmd + list(argv), capture_output=True, text=True)
+def run_simlint(*argv, raw=False):
+    proc = subprocess.run([sys.executable, SIMLINT, *argv],
+                          capture_output=True, text=True)
     findings = [FINDING_RE.match(line) for line in proc.stdout.splitlines()]
     rules = [m.group(3) for m in findings if m]
     if raw:
@@ -326,7 +322,7 @@ def check_codeflows(failures):
     # so code scanning UIs can render the path.
     with tempfile.TemporaryDirectory(dir=HERE) as tmp:
         out = os.path.join(tmp, "out.sarif")
-        subprocess.run([sys.executable, SIMLINT, "--no-cache", "--sarif", out,
+        subprocess.run([sys.executable, SIMLINT, "--sarif", out,
                         INTERPROC_DIR], capture_output=True, text=True)
         try:
             with open(out, encoding="utf-8") as fh:
@@ -369,41 +365,6 @@ def check_codeflows(failures):
             failures.append(f"codeflows: missing structure: {err!r}")
 
 
-def check_cache(failures):
-    # Warm runs must serve identical findings from the cache; an edit to the
-    # file must invalidate its entry (content-hash keying).
-    with tempfile.TemporaryDirectory(dir=HERE) as tmp:
-        cache = os.path.join(tmp, "cache.json")
-        path = os.path.join(tmp, "churn.cc")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write('#include <cassert>\n'
-                     'void F(bool ok) { assert(ok); }\n')
-
-        code, rules = run_simlint("--cache", cache, path, no_cache=False)
-        if code == 0 or rules != ["HIB005"]:
-            failures.append(f"cache cold: expected [HIB005], got {rules}")
-        try:
-            with open(cache, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if "version" not in doc or "files" not in doc:
-                failures.append(f"cache: missing version/files keys: {sorted(doc)}")
-        except (OSError, json.JSONDecodeError) as err:
-            failures.append(f"cache: not written or unreadable: {err}")
-            return
-
-        code, rules = run_simlint("--cache", cache, path, no_cache=False)
-        if code == 0 or rules != ["HIB005"]:
-            failures.append(f"cache warm: expected [HIB005], got {rules}")
-
-        # Fix the file: a stale cache hit would keep reporting HIB005.
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write('void F(bool ok) { (void)ok; }\n')
-        code, rules = run_simlint("--cache", cache, path, no_cache=False)
-        if code != 0 or rules:
-            failures.append(f"cache stale: served old findings after edit: "
-                            f"code={code} rules={rules}")
-
-
 def check_fix(failures):
     # --fix must repair the fixable fixtures inside the repo tree (the guard
     # check derives the expected macro from the repo-relative path) and must
@@ -438,7 +399,6 @@ def main():
     check_suppressions(failures)
     check_sarif(failures)
     check_codeflows(failures)
-    check_cache(failures)
     check_fix(failures)
 
     if failures:
@@ -447,8 +407,8 @@ def main():
         return 1
     print(f"ok: {len(EXPECTED)} bad fixtures tripped exactly their rules; "
           f"{len(INTERPROC_EXPECTED)} interproc findings with witness chains; "
-          f"{len(CLEAN)} clean fixtures clean; suppressions, SARIF codeFlows, "
-          "the incremental cache, and --fix behave")
+          f"{len(CLEAN)} clean fixtures clean; suppressions, SARIF codeFlows "
+          "and --fix behave")
     return 0
 
 
