@@ -12,9 +12,11 @@
 // --trace-out writes a Chrome/Perfetto trace_event JSON timeline of the run
 // (open it at https://ui.perfetto.dev); --metrics-out writes the metrics
 // registry snapshot as JSON.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -74,39 +76,54 @@ bool ParseScheme(const std::string& name, hib::Scheme* scheme) {
   return false;
 }
 
-// Reports `key` unless `value` is positive (or zero, with `allow_zero`).  A
-// negative rate makes arrival gaps negative, so the run never reaches its
-// horizon; a non-positive horizon replays nothing.
+// Reports `key` unless `value` is finite and positive (or zero, with
+// `allow_zero`).  A negative rate makes arrival gaps negative and an
+// infinite horizon is never reached, so either run would not end; a
+// non-positive horizon replays nothing, a non-positive epoch aborts the
+// simulator, and a non-positive goal can never be met.
 bool CheckValue(const char* key, double value, bool allow_zero = false) {
-  if (value > 0.0 || (allow_zero && value == 0.0)) {
+  if (std::isfinite(value) && (value > 0.0 || (allow_zero && value == 0.0))) {
     return true;
   }
-  std::fprintf(stderr, "config: key '%s': must be %s, got %g\n", key,
+  std::fprintf(stderr, "config: key '%s': must be a finite %s number, got %g\n", key,
                allow_zero ? "non-negative" : "positive", value);
+  return false;
+}
+
+// Reports integer `key` unless it lies in [min, max].  Checked before any
+// narrowing cast, so the message gives the value as written, not wrapped.
+bool CheckInt(const char* key, std::int64_t value, std::int64_t min = 1,
+              std::int64_t max = std::numeric_limits<int>::max()) {
+  if (value >= min && value <= max) {
+    return true;
+  }
+  std::fprintf(stderr, "config: key '%s': must be an integer from %lld to %lld, got %lld\n", key,
+               static_cast<long long>(min), static_cast<long long>(max),
+               static_cast<long long>(value));
   return false;
 }
 
 // Reports every array.* value no array can be built from, naming its key:
 // the simulator would otherwise abort deep inside (a non-positive address
-// space, a zero-width group, a cache of 2^64 lines) or, for data_fraction
-// above 1, run on more logical data than the disks hold.  `array` is the one
-// the run will use: the scheme may have narrowed its group width.
+// space, a cache too large to allocate) or, for data_fraction above 1, run
+// on more logical data than the disks hold.  `array` is the one the run will
+// use: the scheme may have narrowed its group width.
 bool CheckArray(const hib::ArrayParams& array, std::int64_t cache_mb) {
-  bool valid = CheckValue("array.disks", array.num_disks);
-  valid = CheckValue("array.group_width", array.group_width) && valid;
-  valid = CheckValue("array.cache_mb", static_cast<double>(cache_mb), true) && valid;
-  valid = CheckValue("array.data_fraction", array.data_fraction) && valid;
+  bool valid = CheckValue("array.data_fraction", array.data_fraction);
   if (array.data_fraction > 1.0) {
     std::fprintf(stderr, "config: key 'array.data_fraction': must be at most 1, got %g\n",
                  array.data_fraction);
     valid = false;
   }
-  if (array.num_disks > 0 && array.group_width > 0 && array.num_disks % array.group_width != 0) {
+  if (array.num_disks % array.group_width != 0) {
     std::fprintf(stderr, "config: key 'array.group_width': %d does not divide array.disks = %d\n",
                  array.group_width, array.num_disks);
     valid = false;
   }
-  return valid;
+  // A cache can usefully hold at most the array's logical data.
+  std::int64_t data_mb = valid ? array.DataSectors() / ((1 << 20) / hib::kSectorBytes)
+                               : std::numeric_limits<std::int64_t>::max();
+  return CheckInt("array.cache_mb", cache_mb, 0, data_mb) && valid;
 }
 
 std::unique_ptr<hib::WorkloadSource> MakeWorkload(hib::Config& config,
@@ -217,17 +234,26 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  std::int64_t disks = config.GetInt("array.disks", 16);
+  std::int64_t group_width = config.GetInt("array.group_width", 4);
+  std::int64_t speed_levels = config.GetInt("array.speed_levels", 5);
+  bool ints_valid = CheckInt("array.disks", disks);
+  ints_valid = CheckInt("array.group_width", group_width) && ints_valid;
+  ints_valid = CheckInt("array.speed_levels", speed_levels) && ints_valid;
+  if (!ints_valid) {
+    return 1;
+  }
   hib::ArrayParams array;
-  array.num_disks = static_cast<int>(config.GetInt("array.disks", 16));
-  array.group_width = static_cast<int>(config.GetInt("array.group_width", 4));
-  array.disk = hib::MakeUltrastar36Z15MultiSpeed(
-      static_cast<int>(config.GetInt("array.speed_levels", 5)));
+  array.num_disks = static_cast<int>(disks);
+  array.group_width = static_cast<int>(group_width);
+  array.disk = hib::MakeUltrastar36Z15MultiSpeed(static_cast<int>(speed_levels));
   std::int64_t cache_mb = config.GetInt("array.cache_mb", 128);
   array.data_fraction = config.GetDouble("array.data_fraction", 0.6);
 
   hib::SchemeConfig scheme;
   bool scheme_known = ParseScheme(config.GetString("scheme.name", "Hibernator"), &scheme.scheme);
-  scheme.epoch_ms = hib::Hours(config.GetDouble("scheme.epoch_hours", 2.0));
+  double epoch_hours = config.GetDouble("scheme.epoch_hours", 2.0);
+  scheme.epoch_ms = hib::Hours(epoch_hours);
   scheme.migration_budget_extents = config.GetInt("scheme.migration_budget_extents", 4096);
   array = hib::ArrayFor(scheme, array);
   if (!CheckArray(array, cache_mb)) {
@@ -239,6 +265,12 @@ int main(int argc, char** argv) {
 
   hib::Duration goal_ms = hib::Ms(config.GetDouble("scheme.goal_ms", 0.0));
   double multiplier = config.GetDouble("scheme.goal_multiplier", 2.5);
+  bool scheme_valid = CheckValue("scheme.epoch_hours", epoch_hours);
+  scheme_valid = CheckValue("scheme.goal_ms", goal_ms / hib::Ms(1.0), true) && scheme_valid;
+  scheme_valid = CheckValue("scheme.goal_multiplier", multiplier) && scheme_valid;
+  scheme_valid = CheckValue("scheme.migration_budget_extents",
+                            static_cast<double>(scheme.migration_budget_extents), true) &&
+                 scheme_valid;
   bool want_series = config.GetBool("output.series", false);
   bool want_csv = config.GetBool("output.csv", false);
 
@@ -262,7 +294,7 @@ int main(int argc, char** argv) {
       keys_known = false;
     }
   }
-  if (!scheme_known || !keys_known || !workload || !config.errors().empty()) {
+  if (!scheme_known || !scheme_valid || !keys_known || !workload || !config.errors().empty()) {
     return 1;
   }
 

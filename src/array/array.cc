@@ -15,6 +15,9 @@ SectorAddr ArrayParams::DataSectors() const {
 }
 
 namespace {
+constexpr SectorCount kCacheLineSectors = 128;  // 64 KB lines
+constexpr double kTemperatureDecay = 0.5;
+
 LayoutParams MakeLayoutParams(const ArrayParams& p) {
   LayoutParams lp;
   lp.num_disks = p.num_disks;
@@ -32,8 +35,8 @@ ArrayController::ArrayController(Simulator* sim, ArrayParams params)
       params_(params),
       data_sectors_(params.DataSectors()),
       layout_(MakeLayoutParams(params)),
-      temperatures_(&layout_, params.temperature_decay),
-      cache_(params.cache_lines, params.cache_line_sectors) {
+      temperatures_(&layout_, kTemperatureDecay),
+      cache_(params.cache_lines, kCacheLineSectors) {
   HIB_CHECK_EQ(params_.num_disks % params_.group_width, 0)
       << "group width must divide the data-disk count";
   int total = num_disks_total();
@@ -60,19 +63,17 @@ void ArrayController::FlushObs() {
   metrics.GetCounter("array.rebuilt_extents").Add(stats_.rebuilt_extents);
 }
 
-PoolHandle ArrayController::AcquireContext(const TraceRecord& record,
-                                           std::function<void(Duration)> done) {
+PoolHandle ArrayController::AcquireContext(const TraceRecord& record) {
   PoolHandle h = request_pool_.Acquire();
   RequestContext& ctx = request_pool_.Get(h);
   ctx.Reset();
   ctx.record = record;
   ctx.arrival = sim_->Now();
-  ctx.done = std::move(done);
   ctx.obs_id = obs_req_seq_++;
   return h;
 }
 
-void ArrayController::Submit(const TraceRecord& record, std::function<void(Duration)> done) {
+void ArrayController::Submit(const TraceRecord& record) {
   HIB_DCHECK(record.lba >= 0 && record.count > 0) << "malformed trace record";
   HIB_DCHECK_LE(record.lba + record.count, data_sectors_)
       << "trace record beyond the logical address space";
@@ -93,7 +94,7 @@ void ArrayController::Submit(const TraceRecord& record, std::function<void(Durat
 
   if (!record.is_write && cache_.Lookup(record.lba, record.count)) {
     ++stats_.cache_hits;
-    PoolHandle hit = AcquireContext(record, std::move(done));
+    PoolHandle hit = AcquireContext(record);
     RequestContext& ctx = request_pool_.Get(hit);
     ctx.pending = 1;
     ctx.cache_hit = true;
@@ -110,7 +111,7 @@ void ArrayController::Submit(const TraceRecord& record, std::function<void(Durat
     cache_.Invalidate(record.lba, record.count);
   }
 
-  PoolHandle h = AcquireContext(record, std::move(done));
+  PoolHandle h = AcquireContext(record);
   RequestContext& ctx = request_pool_.Get(h);
 
   // Split into stripe-unit-aligned pieces and plan the sub-I/Os.  The
@@ -274,9 +275,8 @@ void ArrayController::FinishLogical(PoolHandle h) {
   ++stats_.total_responses;
 
   // Copy out what outlives the slot, release, then run side effects: the
-  // completion hook or `done` may Submit() reentrantly and reuse this slot.
+  // completion hook may Submit() reentrantly and reuse this slot.
   TraceRecord record = ctx.record;
-  std::function<void(Duration)> done = std::move(ctx.done);
   request_pool_.Release(h);
 
   if (!record.is_write) {
@@ -284,9 +284,6 @@ void ArrayController::FinishLogical(PoolHandle h) {
   }
   if (completion_hook_) {
     completion_hook_(record, response);
-  }
-  if (done) {
-    done(response);
   }
 }
 

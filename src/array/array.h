@@ -50,10 +50,8 @@ struct ArrayParams {
   SectorCount stripe_unit_sectors = 128;  // 64 KB
   SectorCount extent_sectors = 2048;      // 1 MB
   double data_fraction = 0.6;  // logical data size as a fraction of raw capacity
-  std::size_t cache_lines = 2048;         // 128 MB controller cache
-  SectorCount cache_line_sectors = 128;   // 64 KB lines
+  std::size_t cache_lines = 2048;         // 128 MB controller cache of 64 KB lines
   Duration cache_hit_ms = Ms(0.05);
-  double temperature_decay = 0.5;
   int max_concurrent_migrations = 2;
   std::uint64_t seed = 1234;
 
@@ -109,8 +107,9 @@ class HIB_SHARD_LOCAL ArrayController {
   ArrayController(const ArrayController&) = delete;
   ArrayController& operator=(const ArrayController&) = delete;
 
-  // Submits a logical request; `done` (optional) fires with the response time.
-  void Submit(const TraceRecord& record, std::function<void(Duration)> done = nullptr);
+  // Submits a logical request; its response time goes to the stats and the
+  // completion hook.
+  void Submit(const TraceRecord& record);
 
   // Direct access to a disk's queue (policy-private traffic, e.g. MAID
   // cache-disk fills).  `disk_id` may name a cache disk.
@@ -201,7 +200,6 @@ class HIB_SHARD_LOCAL ArrayController {
     TraceRecord record;
     SimTime arrival;
     int pending = 0;
-    std::function<void(Duration)> done;
     std::int64_t obs_id = 0;
     bool cache_hit = false;
     // Four inline slots cover every single-stripe-unit request (RAID5 small
@@ -211,7 +209,6 @@ class HIB_SHARD_LOCAL ArrayController {
 
     void Reset() {
       pending = 0;
-      done = nullptr;
       cache_hit = false;
       phase2.clear();
     }
@@ -229,7 +226,7 @@ class HIB_SHARD_LOCAL ArrayController {
     SimTime started;
   };
 
-  PoolHandle AcquireContext(const TraceRecord& record, std::function<void(Duration)> done);
+  PoolHandle AcquireContext(const TraceRecord& record);
   // HIB_REQUIRES_LIVE: callers must hold a live (unreleased) handle — either
   // freshly acquired or checked with IsLive() after a completion callback
   // (simlint HIB024 propagates the obligation up the call graph; the

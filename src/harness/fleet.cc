@@ -5,9 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "src/trace/morph.h"
 #include "src/trace/synthetic.h"
-#include "src/trace/zoo.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
 
@@ -15,19 +13,17 @@ namespace hib {
 
 namespace {
 
-// The fleet's one Zipf table.  Every OLTP or Cello shard draws chunk ranks
-// over the same (n, theta), so the table is built once, here on the merge
-// side before any shard starts, with its terms filled on every core; the
-// shards only read it.  Null for the zoo kinds, which draw no Zipf ranks,
-// and above ZipfGenerator::kMaxTableSize, where generators keep no table.
+// The fleet's one Zipf table.  Every shard draws chunk ranks over the same
+// (n, theta), so the table is built once, here on the merge side before any
+// shard starts, with its terms filled on every core; the shards only read
+// it.  Null above ZipfGenerator::kMaxTableSize, where generators keep no
+// table.
 std::shared_ptr<const ZipfTable> BuildFleetZipfTable(const FleetSpec& spec) {
   SectorCount chunk_sectors = OltpWorkloadParams{}.chunk_sectors;
   double theta = OltpWorkloadParams{}.zipf_theta;
   if (spec.workload == FleetSpec::Workload::kCello) {
     chunk_sectors = CelloWorkloadParams{}.chunk_sectors;
     theta = CelloWorkloadParams{}.zipf_theta;
-  } else if (spec.workload != FleetSpec::Workload::kOltp) {
-    return nullptr;
   }
   std::int64_t n = NumChunks(ArrayFor(spec.scheme, spec.base_array).DataSectors(), chunk_sectors);
   if (n > ZipfGenerator::kMaxTableSize) {
@@ -97,40 +93,6 @@ FleetSimulator::FleetSimulator(FleetSpec spec) : spec_(spec) {
           wp.phase_ms = phase;
           wp.seed = workload_seed;
           return std::make_unique<CelloWorkload>(wp, zipf);
-        };
-        break;
-      case FleetSpec::Workload::kMlTraining:
-        // The zoo generators have no built-in diurnal phase knob; the fleet
-        // staggers them with a PhaseSpliceMorph instead, which is exactly
-        // what the morpher is for.
-        es.make_workload = [peak, duration, phase, workload_seed](
-                               const ArrayParams& p) -> std::unique_ptr<WorkloadSource> {
-          MlTrainingWorkloadParams wp;
-          wp.address_space_sectors = p.DataSectors();
-          wp.duration_ms = duration;
-          wp.read_iops = peak;
-          wp.seed = workload_seed;
-          auto source = std::make_unique<MlTrainingWorkload>(wp);
-          if (phase > Duration{}) {
-            return std::make_unique<PhaseSpliceMorph>(std::move(source), phase, duration);
-          }
-          return source;
-        };
-        break;
-      case FleetSpec::Workload::kBackupScan:
-        es.make_workload = [peak, trough, duration, phase, workload_seed](
-                               const ArrayParams& p) -> std::unique_ptr<WorkloadSource> {
-          BackupScanWorkloadParams wp;
-          wp.address_space_sectors = p.DataSectors();
-          wp.duration_ms = duration;
-          wp.scan_iops = peak;
-          wp.background_iops = trough;
-          wp.seed = workload_seed;
-          auto source = std::make_unique<BackupScanWorkload>(wp);
-          if (phase > Duration{}) {
-            return std::make_unique<PhaseSpliceMorph>(std::move(source), phase, duration);
-          }
-          return source;
         };
         break;
     }

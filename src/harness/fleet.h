@@ -34,10 +34,7 @@ struct FleetSpec {
   SchemeConfig scheme;
   ArrayParams base_array;
 
-  // kMlTraining and kBackupScan come from the zoo (src/trace/zoo.h):
-  // peak_iops maps to the dataloader read rate / in-window scan rate, and
-  // trough_iops to the backup generator's out-of-window verify rate.
-  enum class Workload { kOltp, kCello, kMlTraining, kBackupScan };
+  enum class Workload { kOltp, kCello };
   Workload workload = Workload::kOltp;
   double peak_iops = 300.0;
   double trough_iops = 90.0;
@@ -85,8 +82,8 @@ class FleetSimulator {
   FleetSpec spec_;
   // Built once in the constructor, read-only afterwards: shards receive
   // const references into this vector, so mutating it during Run() would be
-  // a cross-shard data race.  The OLTP and Cello workload factories share
-  // one immutable Zipf table, built by the constructor before any shard runs.
+  // a cross-shard data race.  The workload factories share one immutable
+  // Zipf table, built by the constructor before any shard runs.
   std::vector<ExperimentSpec> specs_;
 };
 

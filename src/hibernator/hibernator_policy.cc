@@ -9,6 +9,23 @@
 
 namespace hib {
 
+namespace {
+// How often the guarantee's credit account is fed and checked.
+constexpr Duration kGuaranteeCheckMs = Seconds(1.0);
+// How aggressively banked response-time credit is spent: each epoch CR may
+// exceed the base goal by kCreditSpendFraction * credit / expected_requests,
+// capped at kCreditSpendCapGoalMultiple x goal.  This is what lets a nearly
+// idle night run slow (its few requests individually exceed the goal)
+// repaid by the daytime surplus — the long-term *average* stays bounded,
+// with the boost as the hard floor.
+constexpr double kCreditSpendFraction = 0.5;
+constexpr double kCreditSpendCapGoalMultiple = 4.0;
+// Assumed mix for the analytic service model; the live scale factor
+// corrects residual error each epoch.
+constexpr double kModelRequestSectors = 12.0;
+constexpr double kModelWriteFraction = 0.35;
+}  // namespace
+
 std::string HibernatorPolicy::Describe() const {
   std::ostringstream out;
   out << Name() << "(goal=" << params_.goal_ms << "ms, epoch=" << params_.epoch_ms / Hours(1.0)
@@ -21,9 +38,8 @@ std::string HibernatorPolicy::Describe() const {
 void HibernatorPolicy::Attach(Simulator* sim, ArrayController* array) {
   sim_ = sim;
   array_ = array;
-  service_model_ = SpeedServiceModel::FromDisk(array->params().disk,
-                                               params_.model_request_sectors,
-                                               params_.model_write_fraction);
+  service_model_ = SpeedServiceModel::FromDisk(array->params().disk, kModelRequestSectors,
+                                               kModelWriteFraction);
   PerfGuaranteeParams gp;
   gp.goal_ms = params_.goal_ms;
   gp.credit_cap_requests = params_.credit_cap_requests;
@@ -36,8 +52,7 @@ void HibernatorPolicy::Attach(Simulator* sim, ArrayController* array) {
 
   sim_->SchedulePeriodic(params_.epoch_ms, params_.epoch_ms, [this] { EpochTick(); });
   if (params_.enable_boost) {
-    sim_->SchedulePeriodic(params_.guarantee_check_ms, params_.guarantee_check_ms,
-                           [this] { GuaranteeTick(); });
+    sim_->SchedulePeriodic(kGuaranteeCheckMs, kGuaranteeCheckMs, [this] { GuaranteeTick(); });
   }
 }
 
@@ -121,9 +136,9 @@ std::vector<double> HibernatorPolicy::UpdateGroupBiases(const std::vector<Freque
 Duration HibernatorPolicy::EffectiveGoalMs(std::int64_t expected_requests) const {
   Duration goal = params_.goal_ms;
   if (params_.enable_boost && guarantee_ != nullptr && guarantee_->credit_ms() > Duration{}) {
-    Duration spend = params_.credit_spend_fraction * guarantee_->credit_ms() /
+    Duration spend = kCreditSpendFraction * guarantee_->credit_ms() /
                      static_cast<double>(std::max<std::int64_t>(expected_requests, 1));
-    goal += std::min(spend, params_.credit_spend_cap_goal_multiple * params_.goal_ms);
+    goal += std::min(spend, kCreditSpendCapGoalMultiple * params_.goal_ms);
   }
   return goal;
 }
@@ -168,38 +183,10 @@ std::vector<int> HibernatorPolicy::SolveUtilizationThreshold(
   return levels;
 }
 
-std::vector<Frequency> MaxElementwise(const std::vector<Frequency>& a,
-                                      const std::vector<Frequency>& b) {
-  if (b.empty()) {
-    return a;
-  }
-  std::vector<Frequency> out = a;
-  for (std::size_t i = 0; i < out.size() && i < b.size(); ++i) {
-    out[i] = std::max(out[i], b[i]);
-  }
-  return out;
-}
-
 void HibernatorPolicy::EpochTick() {
   array_->temperatures().EndEpoch();
   std::vector<Frequency> lambdas = MeasureGroupLambdas();
   last_scale_ = MeasureResponseScale();
-
-  if (params_.use_history_prediction) {
-    // Plan against the worse of "what just happened" and "what happened at
-    // this time yesterday": cheap anticipation of diurnal ramps.
-    auto epochs_per_period = static_cast<std::size_t>(
-        std::max(1.0, params_.history_period_ms / params_.epoch_ms));
-    std::vector<Frequency> yesterday;
-    if (lambda_history_.size() >= epochs_per_period) {
-      yesterday = lambda_history_[lambda_history_.size() - epochs_per_period];
-    }
-    lambda_history_.push_back(lambdas);
-    if (lambda_history_.size() > epochs_per_period + 1) {
-      lambda_history_.pop_front();
-    }
-    lambdas = MaxElementwise(lambdas, yesterday);
-  }
 
   if (!boosted_) {
     std::vector<int> levels;

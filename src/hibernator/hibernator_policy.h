@@ -22,7 +22,6 @@
 #ifndef HIBERNATOR_SRC_HIBERNATOR_HIBERNATOR_POLICY_H_
 #define HIBERNATOR_SRC_HIBERNATOR_HIBERNATOR_POLICY_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,7 +38,6 @@ struct HibernatorParams {
   Duration goal_ms = Ms(20.0);
   Duration epoch_ms = Hours(2.0);
   std::int64_t migration_budget_extents = 4096;
-  Duration guarantee_check_ms = Seconds(1.0);
   // The credit cap must comfortably exceed the one-shot response-time cost of
   // an epoch reconfiguration (requests stall while a group's spindle moves),
   // or the guarantee will boost on every slow-down and thrash.
@@ -49,31 +47,10 @@ struct HibernatorParams {
   Duration stagger_ms = Seconds(120.0);
   bool enable_migration = true;
   bool enable_boost = true;
-  // How aggressively banked response-time credit is spent: each epoch CR may
-  // exceed the base goal by spend_fraction * credit / expected_requests,
-  // capped at spend_cap_goal_multiple x goal.  This is what lets a nearly
-  // idle night run slow (its few requests individually exceed the goal)
-  // repaid by the daytime surplus — the long-term *average* stays bounded,
-  // with the boost as the hard floor.
-  double credit_spend_fraction = 0.5;
-  double credit_spend_cap_goal_multiple = 4.0;
-  // When true, CR plans each epoch against max(last epoch's load, the load
-  // observed one history period ago) — anticipating diurnal ramps instead of
-  // reacting one epoch late.
-  bool use_history_prediction = false;
-  Duration history_period_ms = Hours(24.0);
   // false selects the naive utilization-threshold speed setter (ablation).
   bool use_cr = true;
   double threshold_target_utilization = 0.5;  // used only when !use_cr
-  // Assumed mix for the analytic service model; the live scale factor
-  // corrects residual error each epoch.
-  double model_request_sectors = 12.0;
-  double model_write_fraction = 0.35;
 };
-
-// Elementwise max of two load vectors; `b` may be empty (returns `a`).
-std::vector<Frequency> MaxElementwise(const std::vector<Frequency>& a,
-                                      const std::vector<Frequency>& b);
 
 class HibernatorPolicy : public PowerPolicy {
  public:
@@ -133,8 +110,6 @@ class HibernatorPolicy : public PowerPolicy {
   Duration seen_response_sum_ms_;
   std::int64_t seen_responses_ = 0;
 
-  // Per-epoch history of measured group loads (most recent at the back).
-  std::deque<std::vector<Frequency>> lambda_history_;
   int epochs_completed_ = 0;
   int boosts_ = 0;
   Duration boosted_ms_total_;

@@ -4,10 +4,15 @@
 
 namespace hib {
 
+namespace {
+constexpr double kUtilizationLow = 0.25;   // step down below this busy fraction
+constexpr double kUtilizationHigh = 0.70;  // step up above this busy fraction
+}  // namespace
+
 std::string DrpmPolicy::Describe() const {
   std::ostringstream out;
   out << "DRPM(period=" << ToSeconds(params_.control_period_ms)
-      << "s, up_q=" << params_.queue_up_watermark << ", low_util=" << params_.utilization_low
+      << "s, up_q=" << params_.queue_up_watermark << ", low_util=" << kUtilizationLow
       << ")";
   return out.str();
 }
@@ -36,12 +41,12 @@ void DrpmPolicy::ControlTick() {
       continue;
     }
     int level = dp.LevelOf(disk.target_rpm());
-    if (utilization > params_.utilization_high && level < dp.num_speeds() - 1) {
+    if (utilization > kUtilizationHigh && level < dp.num_speeds() - 1) {
       disk.SetTargetRpm(dp.speeds[static_cast<std::size_t>(level + 1)].rpm);
       sim_->obs().metrics.GetCounter("policy.rpm_up_decisions").Add(1);
       HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "rpm-up",
                         sim_->Now(), i, static_cast<double>(disk.target_rpm()));
-    } else if (depth == 0 && utilization < params_.utilization_low && level > 0) {
+    } else if (depth == 0 && utilization < kUtilizationLow && level > 0) {
       disk.SetTargetRpm(dp.speeds[static_cast<std::size_t>(level - 1)].rpm);
       sim_->obs().metrics.GetCounter("policy.rpm_down_decisions").Add(1);
       HIB_TRACE_INSTANT(sim_->obs().tracer, SpanKind::kDecision, kTrackPolicy, "rpm-down",

@@ -20,8 +20,6 @@ namespace hib {
 struct DrpmParams {
   Duration control_period_ms = Seconds(5.0);
   std::size_t queue_up_watermark = 4;   // jump to full speed at/above this
-  double utilization_low = 0.25;        // step down below this busy fraction
-  double utilization_high = 0.70;       // step up above this busy fraction
 };
 
 class DrpmPolicy : public PowerPolicy {

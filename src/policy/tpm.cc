@@ -4,6 +4,10 @@
 
 namespace hib {
 
+namespace {
+constexpr Duration kPollPeriodMs = Seconds(1.0);
+}  // namespace
+
 Duration TpmBreakEvenMs(const DiskParams& disk) {
   Watts saved = disk.speeds.back().idle_power - disk.standby_power;
   if (saved <= Watts{}) {
@@ -25,7 +29,7 @@ void TpmPolicy::Attach(Simulator* sim, ArrayController* array) {
   array_ = array;
   threshold_ms_ = params_.idle_threshold_ms > Duration{} ? params_.idle_threshold_ms
                                                   : TpmBreakEvenMs(array->params().disk);
-  sim_->SchedulePeriodic(params_.poll_period_ms, params_.poll_period_ms, [this] { Poll(); });
+  sim_->SchedulePeriodic(kPollPeriodMs, kPollPeriodMs, [this] { Poll(); });
 }
 
 void TpmPolicy::Poll() {

@@ -22,7 +22,6 @@ namespace hib {
 struct TpmParams {
   // Idle threshold before spin-down; <= 0 selects the break-even time.
   Duration idle_threshold_ms = Ms(-1.0);
-  Duration poll_period_ms = Seconds(1.0);
 };
 
 // The break-even idle time for a disk: (spin-down + spin-up energy) /

@@ -1,6 +1,7 @@
 #include "src/policy/tpm_adaptive.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -8,11 +9,21 @@
 
 namespace hib {
 
+namespace {
+// Candidate thresholds as multiples of the break-even time.
+constexpr std::array<double, 5> kExpertMultipliers = {0.25, 0.5, 1.0, 2.0, 4.0};
+// Multiplicative-weights learning rate.
+constexpr double kEta = 0.15;
+// Lower bound on any expert weight (keeps dead experts revivable).
+constexpr double kWeightFloor = 0.01;
+constexpr Duration kPollPeriodMs = Seconds(1.0);
+}  // namespace
+
 std::string AdaptiveTpmPolicy::Describe() const {
   std::ostringstream out;
   out << "TPM-Adaptive(breakeven=" << ToSeconds(break_even_ms_) << "s, experts=";
-  for (std::size_t i = 0; i < params_.expert_multipliers.size(); ++i) {
-    out << (i ? "/" : "") << params_.expert_multipliers[i];
+  for (std::size_t i = 0; i < kExpertMultipliers.size(); ++i) {
+    out << (i ? "/" : "") << kExpertMultipliers[i];
   }
   out << "x)";
   return out.str();
@@ -24,17 +35,17 @@ void AdaptiveTpmPolicy::Attach(Simulator* sim, ArrayController* array) {
   break_even_ms_ = TpmBreakEvenMs(array->params().disk);
   disks_.assign(static_cast<std::size_t>(array->num_data_disks()), DiskState{});
   for (DiskState& state : disks_) {
-    state.weights.assign(params_.expert_multipliers.size(),
-                         1.0 / static_cast<double>(params_.expert_multipliers.size()));
+    state.weights.assign(kExpertMultipliers.size(),
+                         1.0 / static_cast<double>(kExpertMultipliers.size()));
   }
-  sim_->SchedulePeriodic(params_.poll_period_ms, params_.poll_period_ms, [this] { Poll(); });
+  sim_->SchedulePeriodic(kPollPeriodMs, kPollPeriodMs, [this] { Poll(); });
 }
 
 Duration AdaptiveTpmPolicy::WorkingThreshold(const DiskState& state) const {
   double weighted = 0.0;
   double total = 0.0;
   for (std::size_t i = 0; i < state.weights.size(); ++i) {
-    weighted += state.weights[i] * params_.expert_multipliers[i];
+    weighted += state.weights[i] * kExpertMultipliers[i];
     total += state.weights[i];
   }
   return break_even_ms_ * (total > 0.0 ? weighted / total : 1.0);
@@ -55,9 +66,9 @@ void AdaptiveTpmPolicy::LearnFromGap(DiskState& state, Duration gap_ms) {
   Joules cycle_cost = dp.spin_down_energy + dp.spin_up_full_energy;
 
   Joules max_loss = Joules(1e-9);
-  std::vector<Joules> losses(params_.expert_multipliers.size());
+  std::vector<Joules> losses(kExpertMultipliers.size());
   for (std::size_t i = 0; i < losses.size(); ++i) {
-    Duration threshold = break_even_ms_ * params_.expert_multipliers[i];
+    Duration threshold = break_even_ms_ * kExpertMultipliers[i];
     Joules benefit;
     if (gap_ms > threshold) {
       benefit = EnergyOf(saved_rate, gap_ms - threshold) - cycle_cost;
@@ -69,8 +80,8 @@ void AdaptiveTpmPolicy::LearnFromGap(DiskState& state, Duration gap_ms) {
   }
   double total = 0.0;
   for (std::size_t i = 0; i < losses.size(); ++i) {
-    state.weights[i] *= std::exp(-params_.eta * losses[i] / max_loss);
-    state.weights[i] = std::max(state.weights[i], params_.weight_floor);
+    state.weights[i] *= std::exp(-kEta * losses[i] / max_loss);
+    state.weights[i] = std::max(state.weights[i], kWeightFloor);
     total += state.weights[i];
   }
   for (double& w : state.weights) {
@@ -90,7 +101,7 @@ void AdaptiveTpmPolicy::Poll() {
       // The previous idle gap (if any) ended: learn from it.
       if (state.idle_since >= SimTime{}) {
         Duration gap = (idle_now ? idle_started : sim_->Now()) - state.idle_since;
-        if (gap > params_.poll_period_ms) {
+        if (gap > kPollPeriodMs) {
           LearnFromGap(state, gap);
         }
       }

@@ -21,20 +21,8 @@
 
 namespace hib {
 
-struct AdaptiveTpmParams {
-  // Candidate thresholds as multiples of the break-even time.
-  std::vector<double> expert_multipliers = {0.25, 0.5, 1.0, 2.0, 4.0};
-  // Multiplicative-weights learning rate.
-  double eta = 0.15;
-  // Lower bound on any expert weight (keeps dead experts revivable).
-  double weight_floor = 0.01;
-  Duration poll_period_ms = Seconds(1.0);
-};
-
 class AdaptiveTpmPolicy : public PowerPolicy {
  public:
-  explicit AdaptiveTpmPolicy(AdaptiveTpmParams params = {}) : params_(params) {}
-
   std::string Name() const override { return "TPM-Adaptive"; }
   std::string Describe() const override;
 
@@ -55,7 +43,6 @@ class AdaptiveTpmPolicy : public PowerPolicy {
   void LearnFromGap(DiskState& state, Duration gap_ms);
   Duration WorkingThreshold(const DiskState& state) const;
 
-  AdaptiveTpmParams params_;
   Simulator* sim_ = nullptr;
   ArrayController* array_ = nullptr;
   Duration break_even_ms_;

@@ -149,26 +149,6 @@ class HIB_SHARD_LOCAL EventQueue {
     free_slots_.push_back(static_cast<std::uint32_t>(e.key & kSlotMask));
   }
 
-  // Pops and returns the earliest event without invoking it.  Only valid
-  // when !empty().  FireNext is the faster path when the callback is invoked
-  // immediately anyway.
-  struct Fired {
-    SimTime time;
-    EventId id = 0;
-    EventCallback callback;
-  };
-  Fired PopNext() {
-    EnsureHead();
-    HIB_DCHECK(!near_.empty()) << "PopNext on an empty queue";
-    Entry e = near_.back();
-    near_.pop_back();
-    std::uint32_t slot = static_cast<std::uint32_t>(e.key & kSlotMask);
-    Fired fired{e.time, e.key, std::move(SlotRef(slot).callback)};
-    ReleaseSlot(slot);
-    --live_count_;
-    return fired;
-  }
-
  private:
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;

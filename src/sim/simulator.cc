@@ -22,31 +22,20 @@ EventId Simulator::ScheduleAt(SimTime when, EventCallback cb) {
 
 bool Simulator::Cancel(EventId id) { return queue_.Cancel(id); }
 
-Simulator::PeriodicHandle Simulator::SchedulePeriodic(SimTime start, Duration period,
-                                                      EventCallback cb) {
+void Simulator::SchedulePeriodic(SimTime start, Duration period, EventCallback cb) {
   HIB_CHECK_GT(period, Duration{}) << "periodic events need a positive period";
-  std::uint64_t key = next_periodic_key_++;
-  periodics_.emplace(key, PeriodicState{period, std::move(cb)});
-  ScheduleAt(start, [this, key] { FirePeriodic(key); });
-  return PeriodicHandle{key};
+  std::size_t index = periodics_.size();
+  periodics_.push_back(PeriodicState{period, std::move(cb)});
+  ScheduleAt(start, [this, index] { FirePeriodic(index); });
 }
 
-void Simulator::StopPeriodic(PeriodicHandle handle) {
-  auto it = periodics_.find(handle.key);
-  if (it != periodics_.end()) {
-    it->second.stopped = true;
-  }
-}
-
-void Simulator::FirePeriodic(std::uint64_t key) {
-  auto it = periodics_.find(key);
-  if (it == periodics_.end() || it->second.stopped) {
-    periodics_.erase(key);
-    return;
-  }
-  // Re-arm first so the callback can StopPeriodic or reschedule safely.
-  ScheduleIn(it->second.period, [this, key] { FirePeriodic(key); });
-  it->second.callback();
+void Simulator::FirePeriodic(std::size_t index) {
+  PeriodicState& periodic = periodics_[index];
+  // Re-arm before the callback runs: the next firing takes its sequence
+  // number ahead of anything the callback schedules, which fixes the order
+  // of same-time events.
+  ScheduleIn(periodic.period, [this, index] { FirePeriodic(index); });
+  periodic.callback();
 }
 
 std::uint64_t Simulator::RunUntil(SimTime until) {

@@ -7,9 +7,8 @@
 #define HIBERNATOR_SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <limits>
-#include <map>
 
 #include "src/obs/obs.h"
 #include "src/sim/event_queue.h"
@@ -44,13 +43,9 @@ class HIB_SHARD_LOCAL Simulator {
   // pending events (see EventQueue::Reserve).
   void ReserveEvents(std::size_t events) { queue_.Reserve(events); }
 
-  // Schedules `cb` every `period` ms starting at `start`; the callback may
-  // call StopPeriodic with the returned handle to stop the series.
-  struct PeriodicHandle {
-    std::uint64_t key = 0;
-  };
-  PeriodicHandle SchedulePeriodic(SimTime start, Duration period, EventCallback cb);
-  void StopPeriodic(PeriodicHandle handle);
+  // Schedules `cb` every `period` ms starting at `start`, for the rest of
+  // the run.
+  void SchedulePeriodic(SimTime start, Duration period, EventCallback cb);
 
   // Runs until the queue is empty or time would pass `until`.
   // Returns the number of events fired.
@@ -77,17 +72,15 @@ class HIB_SHARD_LOCAL Simulator {
   struct PeriodicState {
     Duration period;
     EventCallback callback;
-    bool stopped = false;
   };
-  void FirePeriodic(std::uint64_t key);
+  void FirePeriodic(std::size_t index);
 
   SimTime now_;
   EventQueue queue_;
   std::uint64_t events_fired_ = 0;
-  std::uint64_t next_periodic_key_ = 0;
-  // Keyed by the monotonic next_periodic_key_, ordered so any walk over
-  // the live periodic series is registration-ordered (HIB011).
-  std::map<std::uint64_t, PeriodicState> periodics_;
+  // Indexed by registration order.  A deque: a callback that registers
+  // another series must not move the one it runs from.
+  std::deque<PeriodicState> periodics_;
   Observability obs_;
 #if HIB_VALIDATE
   SimValidator validator_;

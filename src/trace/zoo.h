@@ -15,7 +15,7 @@
 //                 that assume a small hot set.
 //
 // Both are deterministic given their seed, like the generators in
-// synthetic.h, and both are exposed through FleetSpec::Workload.
+// synthetic.h, and both are exposed through `tracec gen mltrain|backup`.
 #ifndef HIBERNATOR_SRC_TRACE_ZOO_H_
 #define HIBERNATOR_SRC_TRACE_ZOO_H_
 

@@ -61,8 +61,6 @@ std::uint64_t PercentileReservoir::NextRand() {
 
 void PercentileReservoir::Add(double x) {
   ++count_;
-  sorted_ = false;
-  selects_since_mutation_ = 0;
   if (samples_.size() < capacity_) {
     samples_.push_back(x);
     return;
@@ -76,8 +74,6 @@ void PercentileReservoir::Add(double x) {
 void PercentileReservoir::Reset() {
   samples_.clear();
   count_ = 0;
-  sorted_ = false;
-  selects_since_mutation_ = 0;
 }
 
 double PercentileReservoir::Percentile(double p) {
@@ -88,24 +84,11 @@ double PercentileReservoir::Percentile(double p) {
   auto lo = static_cast<std::size_t>(rank);
   std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   double frac = rank - static_cast<double>(lo);
-  if (!sorted_) {
-    // Policies interleave Add() with the occasional percentile probe, so a
-    // full O(n log n) sort per query is wasted work.  Select the two order
-    // statistics in O(n) instead; only a run of repeated queries with no
-    // intervening mutation (e.g. end-of-run reporting) pays for a real sort.
-    if (++selects_since_mutation_ > 2) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    } else {
-      auto lo_it = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
-      std::nth_element(samples_.begin(), lo_it, samples_.end());
-      double lo_value = *lo_it;
-      double hi_value =
-          hi > lo ? *std::min_element(lo_it + 1, samples_.end()) : lo_value;
-      return lo_value * (1.0 - frac) + hi_value * frac;
-    }
-  }
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  auto lo_it = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples_.begin(), lo_it, samples_.end());
+  double lo_value = *lo_it;
+  double hi_value = hi > lo ? *std::min_element(lo_it + 1, samples_.end()) : lo_value;
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 void Ewma::Add(double x) {

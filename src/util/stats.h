@@ -53,10 +53,8 @@ class PercentileReservoir {
   void Reset();
 
   // Returns the p-th percentile (p in [0, 100]) of the sampled values;
-  // 0 when empty.  Not const: the first queries after a mutation use O(n)
-  // std::nth_element selection; sustained querying without mutation falls
-  // back to one full sort, after which queries are O(1) (the lazy `sorted_`
-  // fast path).  Both paths return identical values.
+  // 0 when empty.  Not const: each query selects its order statistics in
+  // O(n) with std::nth_element, which reorders the samples.
   double Percentile(double p);
 
   std::int64_t count() const { return count_; }
@@ -66,8 +64,6 @@ class PercentileReservoir {
   std::vector<double> samples_;
   std::int64_t count_ = 0;
   std::uint64_t rng_state_;
-  bool sorted_ = false;
-  int selects_since_mutation_ = 0;
 
   std::uint64_t NextRand();
 };

@@ -341,13 +341,15 @@ TEST_F(ArrayTest, WriteSlowerThanReadUnderRaid5) {
   {
     Simulator sim;
     ArrayController array(&sim, params);
-    array.Submit(MakeRecord(0, 8, false), [&](Duration r) { read_resp = r; });
+    array.set_completion_hook([&](const TraceRecord&, Duration r) { read_resp = r; });
+    array.Submit(MakeRecord(0, 8, false));
     sim.RunUntil(Seconds(5.0));
   }
   {
     Simulator sim;
     ArrayController array(&sim, params);
-    array.Submit(MakeRecord(0, 8, true), [&](Duration r) { write_resp = r; });
+    array.set_completion_hook([&](const TraceRecord&, Duration r) { write_resp = r; });
+    array.Submit(MakeRecord(0, 8, true));
     sim.RunUntil(Seconds(5.0));
   }
   EXPECT_GT(write_resp, read_resp);
@@ -365,12 +367,14 @@ TEST_F(ArrayTest, CacheHitServedFast) {
   ArrayParams params = SmallArray();
   params.cache_lines = 64;
   ArrayController array(&sim_, params);
-  Duration first = Ms(-1.0);
-  Duration second = Ms(-1.0);
-  array.Submit(MakeRecord(0, 8, false), [&](Duration r) { first = r; });
+  Duration response = Ms(-1.0);
+  array.set_completion_hook([&](const TraceRecord&, Duration r) { response = r; });
+  array.Submit(MakeRecord(0, 8, false));
   sim_.RunUntil(Seconds(5.0));
-  array.Submit(MakeRecord(0, 8, false), [&](Duration r) { second = r; });
+  Duration first = response;
+  array.Submit(MakeRecord(0, 8, false));
   sim_.RunUntil(Seconds(10.0));
+  Duration second = response;
   EXPECT_GT(first, 2.0 * params.cache_hit_ms);
   EXPECT_NEAR(second.value(), params.cache_hit_ms.value(), 1e-9);
   EXPECT_EQ(array.stats().cache_hits, 1);
@@ -385,7 +389,8 @@ TEST_F(ArrayTest, WriteInvalidatesCache) {
   array.Submit(MakeRecord(0, 8, true));
   sim_.RunUntil(Seconds(10.0));
   Duration third = Ms(-1.0);
-  array.Submit(MakeRecord(0, 8, false), [&](Duration r) { third = r; });
+  array.set_completion_hook([&](const TraceRecord&, Duration r) { third = r; });
+  array.Submit(MakeRecord(0, 8, false));
   sim_.RunUntil(Seconds(15.0));
   EXPECT_GT(third, Ms(1.0));  // not a cache hit
 }
@@ -400,14 +405,28 @@ TEST_F(ArrayTest, TemperatureTouchedPerAccess) {
   EXPECT_DOUBLE_EQ(array.temperatures().TemperatureOf(5), 1.0);
 }
 
+// The hook is the only way a response leaves the array: it must see every
+// one, with the value the stats accumulate.
 TEST_F(ArrayTest, CompletionHookFires) {
-  ArrayController array(&sim_, SmallArray());
-  int hook_calls = 0;
-  array.set_completion_hook([&](const TraceRecord&, Duration) { ++hook_calls; });
+  ArrayParams params = SmallArray();
+  params.cache_lines = 64;
+  ArrayController array(&sim_, params);
+  std::vector<Duration> responses;
+  array.set_completion_hook([&](const TraceRecord&, Duration r) { responses.push_back(r); });
   array.Submit(MakeRecord(0, 8, false));
-  array.Submit(MakeRecord(4096, 8, true));
   sim_.RunUntil(Seconds(5.0));
-  EXPECT_EQ(hook_calls, 2);
+  array.Submit(MakeRecord(0, 8, false));    // repeat read: a cache hit, done first
+  array.Submit(MakeRecord(4096, 8, true));  // RAID5 small write
+  sim_.RunUntil(Seconds(10.0));
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(static_cast<std::int64_t>(responses.size()), array.stats().total_responses);
+  EXPECT_EQ(array.stats().cache_hits, 1);
+  EXPECT_NEAR(responses[1].value(), params.cache_hit_ms.value(), 1e-9);
+  Duration sum;
+  for (Duration r : responses) {
+    sum += r;
+  }
+  EXPECT_EQ(sum.value(), array.stats().total_response_sum_ms.value());
 }
 
 TEST_F(ArrayTest, ReadRouterRedirects) {

@@ -50,7 +50,8 @@ TEST_F(FailureTest, DegradedReadFansOutToSurvivors) {
   EXPECT_TRUE(array.IsDiskFailed(0));
 
   Duration response = Ms(-1.0);
-  array.Submit(MakeRecord(lba, 8, false), [&](Duration r) { response = r; });
+  array.set_completion_hook([&](const TraceRecord&, Duration r) { response = r; });
+  array.Submit(MakeRecord(lba, 8, false));
   sim_.RunUntil(Seconds(5.0));
   EXPECT_GT(response, Duration{});
   EXPECT_EQ(array.stats().degraded_reads, 1);
@@ -76,7 +77,8 @@ TEST_F(FailureTest, DegradedWriteUpdatesParityOnly) {
   ASSERT_GE(lba, 0);
   array.FailDisk(0);
   Duration response = Ms(-1.0);
-  array.Submit(MakeRecord(lba, 8, true), [&](Duration r) { response = r; });
+  array.set_completion_hook([&](const TraceRecord&, Duration r) { response = r; });
+  array.Submit(MakeRecord(lba, 8, true));
   sim_.RunUntil(Seconds(5.0));
   EXPECT_GT(response, Duration{});
   EXPECT_EQ(array.stats().parity_only_writes, 1);
@@ -104,7 +106,8 @@ TEST_F(FailureTest, DoubleFailureLosesData) {
   array.FailDisk(0);
   array.FailDisk(1);  // same group
   Duration response = Ms(-1.0);
-  array.Submit(MakeRecord(lba, 8, false), [&](Duration r) { response = r; });
+  array.set_completion_hook([&](const TraceRecord&, Duration r) { response = r; });
+  array.Submit(MakeRecord(lba, 8, false));
   sim_.RunUntil(Seconds(5.0));
   EXPECT_GE(response, Duration{});  // request still completes (reports the loss)
   EXPECT_GE(array.stats().lost_accesses, 1);
@@ -127,7 +130,8 @@ TEST_F(FailureTest, MirrorReadsSurvivingCopy) {
   StripeTarget t = array.layout().Map(0, 0);
   array.FailDisk(t.data_disk);
   Duration response = Ms(-1.0);
-  array.Submit(MakeRecord(0, 8, false), [&](Duration r) { response = r; });
+  array.set_completion_hook([&](const TraceRecord&, Duration r) { response = r; });
+  array.Submit(MakeRecord(0, 8, false));
   sim_.RunUntil(Seconds(5.0));
   EXPECT_GT(response, Duration{});
   EXPECT_EQ(array.stats().degraded_reads, 1);
@@ -183,7 +187,8 @@ TEST_F(FailureTest, DemandTrafficServedDuringRebuild) {
   // While rebuilding, reads of the lost disk's units stay degraded but
   // complete; the rebuild's background I/O must not starve them.
   Duration response = Ms(-1.0);
-  array.Submit(MakeRecord(lba, 8, false), [&](Duration r) { response = r; });
+  array.set_completion_hook([&](const TraceRecord&, Duration r) { response = r; });
+  array.Submit(MakeRecord(lba, 8, false));
   sim_.RunUntil(sim_.Now() + Seconds(30.0));
   EXPECT_GT(response, Duration{});
   EXPECT_GE(array.stats().degraded_reads, 1);

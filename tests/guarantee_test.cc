@@ -87,7 +87,10 @@ TEST(Guarantee, BoostMarginTriggersEarly) {
   PerfGuaranteeParams p = Params(Ms(20.0), 1000.0);
   p.boost_margin_requests = 10.0;  // boost below 200 ms of credit
   PerfGuarantee g(p);
-  g.Observe(Ms(10.0 * 30), 30);  // +300 ms: above the margin
+  // Lift the credit to 300 ms, 100 ms above the margin, from wherever it
+  // starts.
+  Duration lift = Ms(300.0) - g.credit_ms();
+  g.Observe(Ms(20.0 * 30) - lift, 30);
   EXPECT_FALSE(g.ShouldBoost());
   g.Observe(Ms(25.0 * 30), 30);  // -150 => credit 150, below the 200 ms margin
   EXPECT_TRUE(g.ShouldBoost());

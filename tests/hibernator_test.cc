@@ -218,44 +218,6 @@ TEST(Hibernator, GroupLevelsMatchDiskSpeeds) {
   }
 }
 
-TEST(MaxElementwise, BasicAndEmpty) {
-  using FreqVec = std::vector<Frequency>;
-  EXPECT_EQ(MaxElementwise(FreqVec{PerMs(1.0), PerMs(5.0)}, FreqVec{PerMs(3.0), PerMs(2.0)}),
-            (FreqVec{PerMs(3.0), PerMs(5.0)}));
-  EXPECT_EQ(MaxElementwise(FreqVec{PerMs(1.0), PerMs(5.0)}, FreqVec{}),
-            (FreqVec{PerMs(1.0), PerMs(5.0)}));
-  EXPECT_EQ(MaxElementwise(FreqVec{PerMs(1.0)}, FreqVec{PerMs(3.0), PerMs(9.0)}),
-            (FreqVec{PerMs(3.0)}));
-}
-
-TEST(Hibernator, HistoryPredictionRemembersYesterday) {
-  Simulator sim;
-  ArrayController array(&sim, TestArray());
-  HibernatorParams hp = TestParams(Ms(40.0));
-  hp.use_history_prediction = true;
-  hp.history_period_ms = Hours(0.5);  // "a day" = 2 epochs for the test
-  HibernatorPolicy policy(hp);
-  policy.Attach(&sim, &array);
-
-  // Busy first epoch, silent afterwards: with history prediction the policy
-  // keeps planning for the remembered load at the same phase, so the epoch
-  // exactly one period after the busy one must not drop to the floor speed.
-  ConstantWorkloadParams wp;
-  wp.address_space_sectors = array.params().DataSectors();
-  wp.duration_ms = Hours(0.25);  // only the first epoch sees traffic
-  wp.iops = 80.0;
-  ConstantWorkload workload(wp);
-  Replay(sim, array, workload, Hours(1.0));
-  EXPECT_GE(policy.epochs_completed(), 3);
-  // The run completes; behavioural details are covered by the CR tests.  The
-  // key check: prediction never makes the policy unstable (no crash, epochs
-  // advance, disks hold a valid level).
-  for (int i = 0; i < array.num_data_disks(); ++i) {
-    EXPECT_GE(array.disk(i).target_rpm(), 3000);
-    EXPECT_LE(array.disk(i).target_rpm(), 15000);
-  }
-}
-
 TEST(Hibernator, BoostOverridesPendingStaggeredChanges) {
   // Regression: a boost arriving while an epoch's staggered slow-down is
   // still in flight must leave every disk targeting full speed.  (The old

@@ -93,7 +93,8 @@ TEST(Tpm, SpinUpOnDemandServesRequest) {
   sim.RunUntil(Seconds(20.0));
   ASSERT_EQ(array.disk(0).state(), DiskPowerState::kStandby);
   Duration response = Ms(-1.0);
-  array.Submit(MakeRecord(0), [&](Duration r) { response = r; });
+  array.set_completion_hook([&](const TraceRecord&, Duration r) { response = r; });
+  array.Submit(MakeRecord(0));
   sim.RunUntil(Seconds(60.0));
   EXPECT_GT(response, Seconds(10.0));  // paid the spin-up
 }

@@ -19,8 +19,9 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.Schedule(Ms(30.0), [&] { fired.push_back(3); });
   q.Schedule(Ms(10.0), [&] { fired.push_back(1); });
   q.Schedule(Ms(20.0), [&] { fired.push_back(2); });
+  SimTime now;
   while (!q.empty()) {
-    q.PopNext().callback();
+    q.FireNext(&now);
   }
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
@@ -31,8 +32,9 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.Schedule(Ms(5.0), [&fired, i] { fired.push_back(i); });
   }
+  SimTime now;
   while (!q.empty()) {
-    q.PopNext().callback();
+    q.FireNext(&now);
   }
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
@@ -58,7 +60,8 @@ TEST(EventQueue, CancelTwiceFails) {
 TEST(EventQueue, CancelAfterFireFails) {
   EventQueue q;
   EventId id = q.Schedule(Ms(1.0), [] {});
-  q.PopNext().callback();
+  SimTime now;
+  q.FireNext(&now);
   EXPECT_FALSE(q.Cancel(id));
 }
 
@@ -75,8 +78,9 @@ TEST(EventQueue, CancelMiddleKeepsOthers) {
   q.Schedule(Ms(3.0), [&] { fired.push_back(3); });
   q.Cancel(mid);
   EXPECT_EQ(q.size(), 2u);
+  SimTime now;
   while (!q.empty()) {
-    q.PopNext().callback();
+    q.FireNext(&now);
   }
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
@@ -97,7 +101,8 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 2u);
   q.Cancel(a);
   EXPECT_EQ(q.size(), 1u);
-  q.PopNext();
+  SimTime now;
+  q.FireNext(&now);
   EXPECT_TRUE(q.empty());
 }
 
@@ -110,10 +115,11 @@ TEST(EventQueue, StaleIdCannotCancelSlotReuse) {
   EventId b = q.Schedule(Ms(6.0), [&] { b_fired = true; });
   EXPECT_FALSE(q.Cancel(a));
   ASSERT_EQ(q.size(), 1u);
-  auto fired = q.PopNext();
-  EXPECT_EQ(fired.id, b);
-  fired.callback();
+  SimTime now;
+  q.FireNext(&now);
   EXPECT_TRUE(b_fired);
+  EXPECT_DOUBLE_EQ(now.value(), 6.0);
+  EXPECT_FALSE(q.Cancel(b));  // fired: b's id is dead too
 }
 
 TEST(EventQueue, ManyEqualTimestampsFireInInsertionOrder) {
@@ -144,7 +150,7 @@ TEST(EventQueue, ManyEqualTimestampsFireInInsertionOrder) {
 
 // Differential test: the queue against a naive reference model (an unsorted
 // vector popped by linear min-scan), over ~100k randomized Schedule / Cancel /
-// PopNext ops.  Every pop must agree on time and payload; every cancel must
+// FireNext ops.  Every pop must agree on time and payload; every cancel must
 // agree on its return value.  Batched phases push traffic through refills,
 // spills, the radix sort, and the stale-entry purge.
 TEST(EventQueue, DifferentialAgainstNaiveReference) {
@@ -179,9 +185,9 @@ TEST(EventQueue, DifferentialAgainstNaiveReference) {
     ASSERT_FALSE(q.empty());
     std::size_t best = ref_min();
     got.clear();
-    auto fired = q.PopNext();
-    fired.callback();
-    ASSERT_EQ(fired.time, ref[best].time);
+    SimTime now;
+    q.FireNext(&now);
+    ASSERT_EQ(now, ref[best].time);
     ASSERT_EQ(got.size(), 1u);
     ASSERT_EQ(got[0], ref[best].value);
     ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(best));
@@ -301,28 +307,6 @@ TEST(Simulator, PeriodicFiresAtPeriod) {
   ASSERT_EQ(times.size(), 4u);
   EXPECT_DOUBLE_EQ(times[0].value(), 10.0);
   EXPECT_DOUBLE_EQ(times[3].value(), 40.0);
-}
-
-TEST(Simulator, StopPeriodicHalts) {
-  Simulator sim;
-  int count = 0;
-  Simulator::PeriodicHandle handle = sim.SchedulePeriodic(Ms(1.0), Ms(1.0), [&] { ++count; });
-  sim.ScheduleAt(Ms(5.5), [&] { sim.StopPeriodic(handle); });
-  sim.RunUntil(Ms(100.0));
-  EXPECT_EQ(count, 5);
-}
-
-TEST(Simulator, PeriodicCanStopItself) {
-  Simulator sim;
-  int count = 0;
-  Simulator::PeriodicHandle handle{};
-  handle = sim.SchedulePeriodic(Ms(1.0), Ms(1.0), [&] {
-    if (++count == 3) {
-      sim.StopPeriodic(handle);
-    }
-  });
-  sim.RunUntil(Ms(100.0));
-  EXPECT_EQ(count, 3);
 }
 
 TEST(Simulator, MultiplePeriodicsIndependent) {

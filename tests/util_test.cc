@@ -422,9 +422,9 @@ TEST(PercentileReservoir, AddAfterPercentileStillWorks) {
   EXPECT_NEAR(res.Percentile(100.0), 3.0, 1e-9);
 }
 
-// Pin: the O(n) nth_element fast path (first queries after a mutation) and
-// the sorted path (later queries) must return bit-identical percentiles, and
-// both must match a plain sorted-vector interpolation.
+// Pin: every query selects over the samples the previous query reordered,
+// so repeated queries must return bit-identical percentiles, all matching a
+// plain sorted-vector interpolation.
 TEST(PercentileReservoir, SelectAndSortPathsAgreeExactly) {
   for (double p : {50.0, 95.0, 99.0}) {
     PercentileReservoir res(512);
@@ -441,9 +441,9 @@ TEST(PercentileReservoir, SelectAndSortPathsAgreeExactly) {
     std::size_t hi = std::min(lo + 1, values.size() - 1);
     double frac = rank - static_cast<double>(lo);
     double expected = values[lo] * (1.0 - frac) + values[hi] * frac;
-    double first = res.Percentile(p);   // nth_element path
-    double second = res.Percentile(p);  // nth_element path
-    double third = res.Percentile(p);   // sorted path from here on
+    double first = res.Percentile(p);
+    double second = res.Percentile(p);
+    double third = res.Percentile(p);
     double fourth = res.Percentile(p);
     EXPECT_DOUBLE_EQ(first, expected) << "p" << p;
     EXPECT_DOUBLE_EQ(second, first) << "p" << p;
