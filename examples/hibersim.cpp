@@ -18,6 +18,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -239,7 +240,8 @@ int main(int argc, char** argv) {
   std::int64_t speed_levels = config.GetInt("array.speed_levels", 5);
   bool ints_valid = CheckInt("array.disks", disks);
   ints_valid = CheckInt("array.group_width", group_width) && ints_valid;
-  ints_valid = CheckInt("array.speed_levels", speed_levels) && ints_valid;
+  ints_valid = CheckInt("array.speed_levels", speed_levels, 1, hib::kUltrastarMaxSpeedLevels) &&
+               ints_valid;
   if (!ints_valid) {
     return 1;
   }
@@ -298,19 +300,31 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (goal_ms <= hib::Duration{}) {
-    goal_ms = multiplier * hib::MeasureBaseResponseMs(*workload, array, hib::Hours(2.0));
-    workload->Reset();
-  }
-  scheme.goal_ms = goal_ms;
+  hib::ExperimentResult r;
+  try {
+    if (goal_ms <= hib::Duration{}) {
+      goal_ms = multiplier * hib::MeasureBaseResponseMs(*workload, array, hib::Hours(2.0));
+      workload->Reset();
+    }
+    scheme.goal_ms = goal_ms;
 
-  auto policy = hib::MakePolicy(scheme);
-  hib::ExperimentOptions options;
-  options.collect_series = want_series;
-  options.sample_period_ms = hib::Hours(1.0);
-  options.trace_out = trace_out;
-  options.metrics_out = metrics_out;
-  hib::ExperimentResult r = hib::RunExperiment(*workload, *policy, array, options);
+    auto policy = hib::MakePolicy(scheme);
+    hib::ExperimentOptions options;
+    options.collect_series = want_series;
+    options.sample_period_ms = hib::Hours(1.0);
+    options.trace_out = trace_out;
+    options.metrics_out = metrics_out;
+    r = hib::RunExperiment(*workload, *policy, array, options);
+  } catch (const std::bad_alloc&) {
+    // The array keeps a record per extent: a size no address space holds
+    // must end here, not abort inside the allocator.
+    std::fprintf(stderr,
+                 "config: key 'array.disks': %d disks at array.data_fraction = %g hold %lld "
+                 "extents, more than this machine can allocate\n",
+                 array.num_disks, array.data_fraction,
+                 static_cast<long long>(array.NumExtents()));
+    return 1;
+  }
 
   hib::Table summary({"metric", "value"});
   summary.NewRow().Add("policy").Add(r.policy_desc);

@@ -16,7 +16,6 @@ SectorAddr ArrayParams::DataSectors() const {
 
 namespace {
 constexpr SectorCount kCacheLineSectors = 128;  // 64 KB lines
-constexpr double kTemperatureDecay = 0.5;
 
 LayoutParams MakeLayoutParams(const ArrayParams& p) {
   LayoutParams lp;
@@ -35,7 +34,6 @@ ArrayController::ArrayController(Simulator* sim, ArrayParams params)
       params_(params),
       data_sectors_(params.DataSectors()),
       layout_(MakeLayoutParams(params)),
-      temperatures_(&layout_, kTemperatureDecay),
       cache_(params.cache_lines, kCacheLineSectors) {
   HIB_CHECK_EQ(params_.num_disks % params_.group_width, 0)
       << "group width must divide the data-disk count";
@@ -88,7 +86,7 @@ void ArrayController::Submit(const TraceRecord& record) {
   for (SectorAddr addr = record.lba; addr < record.lba + record.count;) {
     std::int64_t extent = addr / params_.extent_sectors;
     SectorAddr extent_end = (extent + 1) * params_.extent_sectors;
-    temperatures_.Touch(extent);
+    layout_.Touch(extent);
     addr = std::min<SectorAddr>(extent_end, record.lba + record.count);
   }
 
@@ -473,8 +471,6 @@ void ArrayController::PauseMigration(bool paused) {
     PumpMigrations();
   }
 }
-
-void ArrayController::CancelQueuedMigrations() { migration_queue_.clear(); }
 
 void ArrayController::PumpMigrations() {
   while (!migration_paused_ && active_migrations_ < params_.max_concurrent_migrations &&

@@ -126,7 +126,6 @@ class HIB_SHARD_LOCAL ArrayController {
 
   LayoutManager& layout() { return layout_; }
   const LayoutManager& layout() const { return layout_; }
-  TemperatureTracker& temperatures() { return temperatures_; }
   LruCache& cache() { return cache_; }
   const ArrayParams& params() const { return params_; }
   Simulator& sim() { return *sim_; }
@@ -145,7 +144,6 @@ class HIB_SHARD_LOCAL ArrayController {
   // I/O, at most max_concurrent_migrations in flight).
   void RequestMigration(std::int64_t extent, int target_group);
   void PauseMigration(bool paused);
-  void CancelQueuedMigrations();
   std::size_t MigrationBacklog() const { return migration_queue_.size() + active_migrations_; }
 
   // --- failure injection and recovery --------------------------------------
@@ -250,7 +248,6 @@ class HIB_SHARD_LOCAL ArrayController {
   SectorAddr data_sectors_;  // params_.DataSectors(), for Submit's bound check
   std::vector<std::unique_ptr<Disk>> disks_;
   LayoutManager layout_;
-  TemperatureTracker temperatures_;  // windows live in layout_'s extent records
   LruCache cache_;
   ReadRouter read_router_;
   CompletionHook completion_hook_;

@@ -6,6 +6,10 @@
 #include "src/util/check.h"
 
 namespace hib {
+namespace {
+// Each epoch keeps this share of an extent's decayed temperature.
+constexpr double kTemperatureDecay = 0.5;
+}  // namespace
 
 LayoutManager::LayoutManager(LayoutParams params) : params_(params) {
   HIB_CHECK_GT(params_.num_disks, 0);
@@ -19,6 +23,7 @@ LayoutManager::LayoutManager(LayoutParams params) : params_(params) {
   num_groups_ = params_.num_disks / params_.group_width;
   extents_.resize(static_cast<std::size_t>(params_.num_extents));
   extents_per_group_.assign(static_cast<std::size_t>(num_groups_), 0);
+  temperature_.assign(extents_.size(), 0.0f);
   ResetRoundRobin();
 }
 
@@ -98,44 +103,21 @@ StripeTarget LayoutManager::Map(std::int64_t extent, SectorAddr offset_in_extent
   return t;
 }
 
-TemperatureTracker::TemperatureTracker(std::int64_t num_extents, double decay)
-    : decay_(decay),
-      temperature_(static_cast<std::size_t>(num_extents), 0.0f),
-      own_records_(static_cast<std::size_t>(num_extents)),
-      records_(own_records_.data()) {}
-
-TemperatureTracker::TemperatureTracker(LayoutManager* layout, double decay)
-    : decay_(decay),
-      temperature_(layout->extents_.size(), 0.0f),
-      records_(layout->extents_.data()) {}
-
-void TemperatureTracker::Touch(std::int64_t extent, double weight) {
-  records_[static_cast<std::size_t>(extent)].window += static_cast<float>(weight);
-}
-
-void TemperatureTracker::EndEpoch() {
+void LayoutManager::EndEpoch() {
   for (std::size_t i = 0; i < temperature_.size(); ++i) {
-    temperature_[i] =
-        static_cast<float>(decay_ * static_cast<double>(temperature_[i])) + records_[i].window;
-    records_[i].window = 0.0f;
+    temperature_[i] = static_cast<float>(kTemperatureDecay * static_cast<double>(temperature_[i])) +
+                      extents_[i].window;
+    extents_[i].window = 0.0f;
   }
 }
 
-std::vector<std::int64_t> TemperatureTracker::SortedHottestFirst() const {
+std::vector<std::int64_t> LayoutManager::SortedHottestFirst() const {
   std::vector<std::int64_t> order(temperature_.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [this](std::int64_t a, std::int64_t b) {
     return TemperatureOf(a) > TemperatureOf(b);
   });
   return order;
-}
-
-double TemperatureTracker::TotalTemperature() const {
-  double total = 0.0;
-  for (std::size_t i = 0; i < temperature_.size(); ++i) {
-    total += static_cast<double>(temperature_[i]) + static_cast<double>(records_[i].window);
-  }
-  return total;
 }
 
 }  // namespace hib

@@ -31,12 +31,10 @@ struct LayoutParams {
 };
 
 // What the per-request path keeps per extent, in one 8-byte record, so
-// Submit's temperature touch and its layout lookup share a cache line.  The
-// LayoutManager owns the records; an array's TemperatureTracker keeps its
-// windows in them.
+// Submit's temperature touch and its layout lookup share a cache line.
 struct ExtentRecord {
-  std::int32_t group = 0;  // the extent's stripe group (LayoutManager)
-  float window = 0.0f;     // accesses this epoch (TemperatureTracker)
+  std::int32_t group = 0;  // the extent's stripe group
+  float window = 0.0f;     // accesses this epoch
 };
 static_assert(sizeof(ExtentRecord) == 8, "one extent's record must stay 8 bytes");
 
@@ -81,51 +79,28 @@ class LayoutManager {
   // Spreads all extents round-robin across groups (the initial layout).
   void ResetRoundRobin();
 
- private:
-  friend class TemperatureTracker;  // keeps its windows in extents_
-
-  LayoutParams params_;
-  int num_groups_;
-  std::vector<ExtentRecord> extents_;  // sized once; never reallocates
-  std::vector<std::int64_t> extents_per_group_;
-};
-
-// Per-extent access-frequency tracking with exponential decay across epochs;
-// this is the "temperature" that decides which extents belong on fast disks.
-class TemperatureTracker {
- public:
-  // Standalone: owns its windows.
-  TemperatureTracker(std::int64_t num_extents, double decay = 0.5);
-  // Keeps its windows in `layout`'s extent records, which must outlive the
-  // tracker (the array controller's layout and tracker).
-  explicit TemperatureTracker(LayoutManager* layout, double decay = 0.5);
-
-  TemperatureTracker(const TemperatureTracker&) = delete;
-  TemperatureTracker& operator=(const TemperatureTracker&) = delete;
-
-  void Touch(std::int64_t extent, double weight = 1.0);
+  // --- temperature -------------------------------------------------------
+  // Per-extent access frequency with exponential decay across epochs; this
+  // is the "temperature" that decides which extents belong on fast disks.
+  void Touch(std::int64_t extent) { extents_[static_cast<std::size_t>(extent)].window += 1.0f; }
 
   // Folds the current window into the decayed temperature and clears it.
   void EndEpoch();
 
   double TemperatureOf(std::int64_t extent) const {
     auto i = static_cast<std::size_t>(extent);
-    return temperature_[i] + records_[i].window;
+    return temperature_[i] + extents_[i].window;
   }
 
   // Extent ids sorted hottest-first.  O(n log n); called once per epoch.
   std::vector<std::int64_t> SortedHottestFirst() const;
 
-  // Sum of all temperatures (including the live window).
-  double TotalTemperature() const;
-
-  std::int64_t num_extents() const { return static_cast<std::int64_t>(temperature_.size()); }
-
  private:
-  double decay_;
-  std::vector<float> temperature_;
-  std::vector<ExtentRecord> own_records_;  // standalone storage; empty when sharing
-  ExtentRecord* records_;                  // own_records_ or the layout's
+  LayoutParams params_;
+  int num_groups_;
+  std::vector<ExtentRecord> extents_;
+  std::vector<std::int64_t> extents_per_group_;
+  std::vector<float> temperature_;  // decayed through the last EndEpoch
 };
 
 }  // namespace hib

@@ -7,24 +7,33 @@
 #include "src/util/log.h"
 
 namespace hib {
+namespace {
 
-const char* DiskPowerStateName(DiskPowerState state) {
+// Adds `joules` spent over `dt` to the ledger bucket `state` is metered in.
+void Charge(DiskEnergy* energy, DiskPowerState state, Joules joules, Duration dt) {
   switch (state) {
-    case DiskPowerState::kIdle:
-      return "IDLE";
     case DiskPowerState::kBusy:
-      return "BUSY";
-    case DiskPowerState::kChangingRpm:
-      return "CHANGING_RPM";
-    case DiskPowerState::kSpinningDown:
-      return "SPINNING_DOWN";
+      energy->active += joules;
+      energy->active_ms += dt;
+      break;
+    case DiskPowerState::kIdle:
+      energy->idle += joules;
+      energy->idle_ms += dt;
+      break;
     case DiskPowerState::kStandby:
-      return "STANDBY";
+      energy->standby += joules;
+      energy->standby_ms += dt;
+      break;
+    case DiskPowerState::kChangingRpm:
+    case DiskPowerState::kSpinningDown:
     case DiskPowerState::kSpinningUp:
-      return "SPINNING_UP";
+      energy->transition += joules;
+      energy->transition_ms += dt;
+      break;
   }
-  return "?";
 }
+
+}  // namespace
 
 Disk::Disk(Simulator* sim, DiskParams params, int id, std::uint64_t seed)
     : sim_(sim),
@@ -42,8 +51,7 @@ Disk::Disk(Simulator* sim, DiskParams params, int id, std::uint64_t seed)
   obs_service_ms_ = &metrics.GetHistogram("disk.service_ms");
   obs_state_since_ = sim_->Now();
 #if HIB_VALIDATE
-  validator_track_ = sim_->validator().OnDiskAttached(id_, static_cast<ValidatorDiskState>(state_),
-                                                      current_power_, sim_->Now());
+  validator_track_ = sim_->validator().OnDiskAttached(id_, state_, current_power_, sim_->Now());
 #endif
 }
 
@@ -73,30 +81,8 @@ Watts Disk::StatePower(DiskPowerState state) const {
 void Disk::AccountToNow() {
   SimTime now = sim_->Now();
   Duration dt = now - last_account_;
-  if (dt <= Duration{}) {
-    last_account_ = now;
-    return;
-  }
-  Joules joules = EnergyOf(current_power_, dt);
-  switch (state_) {
-    case DiskPowerState::kBusy:
-      energy_.active += joules;
-      energy_.active_ms += dt;
-      break;
-    case DiskPowerState::kIdle:
-      energy_.idle += joules;
-      energy_.idle_ms += dt;
-      break;
-    case DiskPowerState::kStandby:
-      energy_.standby += joules;
-      energy_.standby_ms += dt;
-      break;
-    case DiskPowerState::kChangingRpm:
-    case DiskPowerState::kSpinningDown:
-    case DiskPowerState::kSpinningUp:
-      energy_.transition += joules;
-      energy_.transition_ms += dt;
-      break;
+  if (dt > Duration{}) {
+    Charge(&energy_, state_, EnergyOf(current_power_, dt), dt);
   }
   last_account_ = now;
 }
@@ -105,8 +91,7 @@ void Disk::EnterState(DiskPowerState next) {
   AccountToNow();
   Watts next_power = StatePower(next);
 #if HIB_VALIDATE
-  sim_->validator().OnDiskTransition(validator_track_, static_cast<ValidatorDiskState>(state_),
-                                     static_cast<ValidatorDiskState>(next), sim_->Now(), next_power,
+  sim_->validator().OnDiskTransition(validator_track_, state_, next, sim_->Now(), next_power,
                                      energy_.Total(), static_cast<std::int64_t>(QueueDepth()));
 #endif
   // Close the residency span of the state being left (arg = its power draw,
@@ -133,25 +118,7 @@ DiskEnergy Disk::MeteredEnergy() const {
   DiskEnergy snapshot = energy_;
   Duration dt = sim_->Now() - last_account_;
   if (dt > Duration{}) {
-    Joules joules = EnergyOf(current_power_, dt);
-    switch (state_) {
-      case DiskPowerState::kBusy:
-        snapshot.active += joules;
-        snapshot.active_ms += dt;
-        break;
-      case DiskPowerState::kIdle:
-        snapshot.idle += joules;
-        snapshot.idle_ms += dt;
-        break;
-      case DiskPowerState::kStandby:
-        snapshot.standby += joules;
-        snapshot.standby_ms += dt;
-        break;
-      default:
-        snapshot.transition += joules;
-        snapshot.transition_ms += dt;
-        break;
-    }
+    Charge(&snapshot, state_, EnergyOf(current_power_, dt), dt);
   }
   return snapshot;
 }
@@ -214,12 +181,6 @@ void Disk::FinishSpinDown() {
   EnterState(DiskPowerState::kStandby);
   // A request may have arrived while the platters wound down.
   if (QueueDepth() > 0) {
-    BeginSpinUp();
-  }
-}
-
-void Disk::SpinUp() {
-  if (state_ == DiskPowerState::kStandby) {
     BeginSpinUp();
   }
 }
@@ -364,13 +325,6 @@ void Disk::FinishService(SimTime completion_time, DiskRequest request) {
     request.on_complete(completion_time);
   }
   MaybeStartWork();
-}
-
-Duration Disk::ExpectedServiceTime(SectorCount count, int level) const {
-  const SpeedLevel& lvl = params_.speeds[static_cast<std::size_t>(level)];
-  // Average seek (1/3 stroke) + half-revolution latency + transfer.
-  return params_.seek.average_ms + 0.5 * lvl.RevolutionMs() +
-         params_.TransferTime(count, lvl.rpm);
 }
 
 }  // namespace hib

@@ -8,7 +8,7 @@
 //   IDLE -> CHANGING_RPM -> IDLE        (SetTargetRpm; waits for current
 //                             request to finish, queues arrivals meanwhile)
 //   IDLE -> SPINNING_DOWN -> STANDBY    (SpinDown, only when fully idle)
-//   STANDBY -> SPINNING_UP -> IDLE      (SpinUp or demand arrival)
+//   STANDBY -> SPINNING_UP -> IDLE      (demand arrival)
 //
 // Energy is accounted lazily: every state carries a power draw, and the meter
 // integrates power over the time spent in each state, so
@@ -24,37 +24,12 @@
 
 #include "src/disk/disk_params.h"
 #include "src/sim/simulator.h"
+#include "src/sim/validator.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
 #include "src/util/units.h"
 
 namespace hib {
-
-enum class DiskPowerState {
-  kIdle,          // spinning at current RPM, no request in service
-  kBusy,          // serving a request
-  kChangingRpm,   // moving the spindle between two speeds
-  kSpinningDown,  // heading to standby
-  kStandby,       // spun down
-  kSpinningUp,    // leaving standby
-};
-
-// SimValidator mirrors this enum so the sim layer stays below the disk layer;
-// keep the value mapping in lockstep (checked in every build).
-static_assert(static_cast<int>(DiskPowerState::kIdle) ==
-              static_cast<int>(ValidatorDiskState::kIdle));
-static_assert(static_cast<int>(DiskPowerState::kBusy) ==
-              static_cast<int>(ValidatorDiskState::kBusy));
-static_assert(static_cast<int>(DiskPowerState::kChangingRpm) ==
-              static_cast<int>(ValidatorDiskState::kChangingRpm));
-static_assert(static_cast<int>(DiskPowerState::kSpinningDown) ==
-              static_cast<int>(ValidatorDiskState::kSpinningDown));
-static_assert(static_cast<int>(DiskPowerState::kStandby) ==
-              static_cast<int>(ValidatorDiskState::kStandby));
-static_assert(static_cast<int>(DiskPowerState::kSpinningUp) ==
-              static_cast<int>(ValidatorDiskState::kSpinningUp));
-
-const char* DiskPowerStateName(DiskPowerState state);
 
 // One I/O sent to a disk.  `on_complete` fires at completion with the
 // completion timestamp; `arrival` is stamped by the disk at Submit.
@@ -150,9 +125,6 @@ class Disk {
   // is idle with an empty queue.
   bool SpinDown();
 
-  // Spins up from standby toward the current target RPM.  No-op otherwise.
-  void SpinUp();
-
   int id() const { return id_; }
   const DiskParams& params() const { return params_; }
   DiskPowerState state() const { return state_; }
@@ -172,10 +144,6 @@ class Disk {
 
   DiskStats& stats() { return stats_; }
   const DiskStats& stats() const { return stats_; }
-
-  // Pure service-time query (no state change): what would this request cost
-  // mechanically at the given level, with average rotational latency?
-  Duration ExpectedServiceTime(SectorCount count, int level) const;
 
   // Emits the still-open power-state residency span (the tail of the
   // timeline) and adds this disk's spin-up, spin-down and RPM-change counts

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/util/check.h"
+
 namespace hib {
 
 Duration SeekModel::SeekTime(std::int64_t distance, std::int64_t num_cylinders) const {
@@ -129,21 +131,20 @@ DiskParams MakeUltrastar36Z15MultiSpeed(int num_levels) {
   p.spin_up_full_energy = Joules(135.0);
   p.rpm_full_swing_ms = Ms(8000.0);
 
-  constexpr int kMinRpm = 3000;
-  constexpr int kMaxRpm = 15000;
+  HIB_CHECK(num_levels >= 1 && num_levels <= kUltrastarMaxSpeedLevels)
+      << "the Ultrastar model has 1 to " << kUltrastarMaxSpeedLevels << " speed levels, not "
+      << num_levels;
   constexpr Watts kIdleAtMax = Watts(10.2);
-  if (num_levels < 1) {
-    num_levels = 1;
-  }
   p.speeds.clear();
   if (num_levels == 1) {
     p.speeds.push_back(
-        SpeedLevel{kMaxRpm, kIdleAtMax, ActivePowerAtRpm(kMaxRpm, kMaxRpm, kIdleAtMax)});
+        SpeedLevel{kUltrastarMaxRpm, kIdleAtMax,
+                   ActivePowerAtRpm(kUltrastarMaxRpm, kUltrastarMaxRpm, kIdleAtMax)});
   } else {
     for (int i = 0; i < num_levels; ++i) {
-      int rpm = kMinRpm + (kMaxRpm - kMinRpm) * i / (num_levels - 1);
-      p.speeds.push_back(SpeedLevel{rpm, IdlePowerAtRpm(rpm, kMaxRpm, kIdleAtMax),
-                                    ActivePowerAtRpm(rpm, kMaxRpm, kIdleAtMax)});
+      int rpm = kUltrastarMinRpm + (kUltrastarMaxRpm - kUltrastarMinRpm) * i / (num_levels - 1);
+      p.speeds.push_back(SpeedLevel{rpm, IdlePowerAtRpm(rpm, kUltrastarMaxRpm, kIdleAtMax),
+                                    ActivePowerAtRpm(rpm, kUltrastarMaxRpm, kIdleAtMax)});
     }
   }
   return p;

@@ -107,10 +107,17 @@ Watts IdlePowerAtRpm(int rpm, int max_rpm, Watts idle_at_max, Watts electronics 
 Watts ActivePowerAtRpm(int rpm, int max_rpm, Watts idle_at_max,
                        Watts active_extra = Watts(3.3), Watts electronics = Watts(2.5));
 
+// The Hibernator evaluation disk's spindle range.  Its levels are whole RPMs,
+// so it has at most kUltrastarMaxSpeedLevels distinct ones.
+inline constexpr int kUltrastarMinRpm = 3000;
+inline constexpr int kUltrastarMaxRpm = 15000;
+inline constexpr int kUltrastarMaxSpeedLevels = kUltrastarMaxRpm - kUltrastarMinRpm + 1;
+
 // Builds the Hibernator evaluation disk: IBM Ultrastar 36Z15 extrapolated to
-// `num_levels` evenly spaced speeds in [3000, 15000] RPM.  num_levels == 1
-// yields the conventional fixed 15k disk; 2 yields {3k, 15k}; 5 (the paper's
-// default) yields {3k, 6k, 9k, 12k, 15k}.
+// `num_levels` evenly spaced speeds in [3000, 15000] RPM, with 1 <= num_levels
+// <= kUltrastarMaxSpeedLevels.  num_levels == 1 yields the conventional fixed
+// 15k disk; 2 yields {3k, 15k}; 5 (the paper's default) yields
+// {3k, 6k, 9k, 12k, 15k}.
 DiskParams MakeUltrastar36Z15MultiSpeed(int num_levels = 5);
 
 }  // namespace hib

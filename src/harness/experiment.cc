@@ -5,6 +5,7 @@
 #include "src/obs/export.h"
 #include "src/policy/full_power.h"
 #include "src/trace/synthetic.h"
+#include "src/util/check.h"
 
 namespace hib {
 
@@ -169,6 +170,7 @@ CelloSetup MakeCelloSetup(int speed_levels) {
 
 Duration MeasureBaseResponseMs(WorkloadSource& workload, const ArrayParams& array_params,
                              Duration probe_ms) {
+  HIB_CHECK_GT(probe_ms, Duration{}) << "the Base probe needs a positive length";
   Simulator sim;
   ArrayController array(&sim, array_params);
   FullPowerPolicy base;
@@ -176,8 +178,7 @@ Duration MeasureBaseResponseMs(WorkloadSource& workload, const ArrayParams& arra
   workload.Reset();
   TraceInjector injector(&sim, &array, &workload, probe_ms);
   injector.Start();
-  SimTime bound = probe_ms > Duration{} ? probe_ms : Hours(24.0 * 365.0);
-  sim.RunUntil(bound + Seconds(30.0));
+  sim.RunUntil(probe_ms + Seconds(30.0));
   workload.Reset();
   return Ms(array.stats().response_ms.mean());
 }

@@ -142,7 +142,7 @@ CelloSetup MakeCelloSetup(int speed_levels = 5);
 
 // Measures the Base (full-power) mean response time for a setup; the
 // performance goals of all other schemes are expressed as multiples of this.
-// Uses a shortened probe run for speed; pass probe_ms <= 0 for a full run.
+// Runs only the first `probe_ms` (> 0) of the workload, for speed.
 Duration MeasureBaseResponseMs(WorkloadSource& workload, const ArrayParams& array_params,
                              Duration probe_ms);
 

@@ -9,6 +9,9 @@
 #include "src/policy/tpm_adaptive.h"
 
 namespace hib {
+namespace {
+constexpr int kMaidCacheDisks = 2;  // MAID's always-on cache disks
+}  // namespace
 
 const char* SchemeName(Scheme scheme) {
   switch (scheme) {
@@ -65,7 +68,7 @@ ArrayParams ArrayFor(const SchemeConfig& config, ArrayParams base) {
       break;
     case Scheme::kMaid:
       base.group_width = 1;
-      base.num_cache_disks = config.maid_cache_disks;
+      base.num_cache_disks = kMaidCacheDisks;
       break;
     default:
       break;

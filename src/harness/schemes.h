@@ -49,7 +49,6 @@ struct SchemeConfig {
   Duration goal_ms = Ms(20.0);
   Duration epoch_ms = Hours(2.0);
   std::int64_t migration_budget_extents = 4096;
-  int maid_cache_disks = 2;
 };
 
 // Returns `base` adjusted to the layout the scheme requires.

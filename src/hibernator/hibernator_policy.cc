@@ -184,7 +184,7 @@ std::vector<int> HibernatorPolicy::SolveUtilizationThreshold(
 }
 
 void HibernatorPolicy::EpochTick() {
-  array_->temperatures().EndEpoch();
+  array_->layout().EndEpoch();
   std::vector<Frequency> lambdas = MeasureGroupLambdas();
   last_scale_ = MeasureResponseScale();
 
@@ -290,12 +290,12 @@ void HibernatorPolicy::PlanMigrations() {
     return group_levels_[static_cast<std::size_t>(a)] > group_levels_[static_cast<std::size_t>(b)];
   });
 
-  std::vector<std::int64_t> order = array_->temperatures().SortedHottestFirst();
+  std::vector<std::int64_t> order = layout.SortedHottestFirst();
   std::int64_t per_group = (num_extents + num_groups - 1) / num_groups;
   std::int64_t budget = params_.migration_budget_extents;
   for (std::size_t rank = 0; rank < order.size() && budget > 0; ++rank) {
     std::int64_t extent = order[rank];
-    if (array_->temperatures().TemperatureOf(extent) <= 0.0) {
+    if (layout.TemperatureOf(extent) <= 0.0) {
       break;  // never-accessed extents (the sorted tail) stay where they are
     }
     int slot = static_cast<int>(static_cast<std::int64_t>(rank) / per_group);

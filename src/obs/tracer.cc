@@ -45,8 +45,6 @@ void Tracer::Enable(std::size_t capacity) {
   enabled_ = true;
 }
 
-void Tracer::Disable() { enabled_ = false; }
-
 std::size_t Tracer::size() const { return std::min<std::uint64_t>(recorded_, capacity_); }
 
 void Tracer::Push(const TraceEvent& event) {

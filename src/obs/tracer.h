@@ -73,7 +73,6 @@ class HIB_SHARD_LOCAL Tracer {
 
   // Starts recording into a ring of `capacity` events (allocated up front).
   void Enable(std::size_t capacity = kDefaultCapacity);
-  void Disable();
   bool enabled() const { return enabled_; }
 
   // Records a completed span [start, end].  A span must not end before it

@@ -26,12 +26,11 @@ void PdcPolicy::Attach(Simulator* sim, ArrayController* array) {
 }
 
 void PdcPolicy::Reorganize() {
-  TemperatureTracker& temps = array_->temperatures();
   LayoutManager& layout = array_->layout();
-  temps.EndEpoch();
+  layout.EndEpoch();
 
   // Target: rank r extent -> group r / per_group (hottest first onto disk 0).
-  std::vector<std::int64_t> order = temps.SortedHottestFirst();
+  std::vector<std::int64_t> order = layout.SortedHottestFirst();
   std::int64_t per_group =
       (layout.num_extents() + layout.num_groups() - 1) / layout.num_groups();
 

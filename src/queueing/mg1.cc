@@ -33,18 +33,6 @@ Duration Mg1Model::Gg1ResponseTime(Frequency lambda, Duration mean_service, doub
   return mean_service + wait * std::max(0.0, factor);
 }
 
-Frequency Mg1Model::MaxArrivalRate(Duration target, Duration mean_service, double scv) {
-  if (target <= mean_service) {
-    return Frequency{};
-  }
-  // Solve S + lambda S^2 (1+c2) / (2 (1 - lambda S)) = target for lambda.
-  // Let a = S^2 (1+c2) / 2, T = target - S:
-  //   lambda a = T (1 - lambda S)  =>  lambda = T / (a + T S)
-  Duration t = target - mean_service;
-  DurationSq a = mean_service * mean_service * (1.0 + scv) / 2.0;
-  return t / (a + t * mean_service);  // Duration / DurationSq -> Frequency
-}
-
 SpeedServiceModel SpeedServiceModel::FromDisk(const DiskParams& disk,
                                               double mean_request_sectors,
                                               double write_fraction) {

@@ -57,10 +57,6 @@ class Mg1Model {
   // CR must know it before slowing a disk into a burst.
   static Duration Gg1ResponseTime(Frequency lambda, Duration mean_service, double scv,
                                   double arrival_scv);
-
-  // Highest arrival rate at which the predicted response time stays at or
-  // below `target`; zero if even an idle disk misses the target.
-  static Frequency MaxArrivalRate(Duration target, Duration mean_service, double scv);
 };
 
 // Per-speed-level service-time statistics for a given request mix, derived

@@ -6,24 +6,6 @@
 
 namespace hib {
 
-const char* ValidatorDiskStateName(ValidatorDiskState state) {
-  switch (state) {
-    case ValidatorDiskState::kIdle:
-      return "IDLE";
-    case ValidatorDiskState::kBusy:
-      return "BUSY";
-    case ValidatorDiskState::kChangingRpm:
-      return "CHANGING_RPM";
-    case ValidatorDiskState::kSpinningDown:
-      return "SPINNING_DOWN";
-    case ValidatorDiskState::kStandby:
-      return "STANDBY";
-    case ValidatorDiskState::kSpinningUp:
-      return "SPINNING_UP";
-  }
-  return "?";
-}
-
 SimValidator::SimValidator(double energy_rel_tol) : energy_rel_tol_(energy_rel_tol) {}
 
 void SimValidator::OnDispatch(SimTime when) {
@@ -36,7 +18,7 @@ void SimValidator::OnDispatch(SimTime when) {
   ++dispatches_checked_;
 }
 
-std::uint32_t SimValidator::OnDiskAttached(int disk_id, ValidatorDiskState state, Watts power,
+std::uint32_t SimValidator::OnDiskAttached(int disk_id, DiskPowerState state, Watts power,
                                            SimTime now) {
   tracks_.push_back({disk_id, /*attached=*/true, state, power, now, Joules{}});
   ++disks_tracked_;
@@ -57,43 +39,43 @@ SimValidator::DiskTrack& SimValidator::AttachedTrack(std::uint32_t index, const 
   return track;
 }
 
-bool SimValidator::IsLegalTransition(ValidatorDiskState from, ValidatorDiskState to) {
+bool SimValidator::IsLegalTransition(DiskPowerState from, DiskPowerState to) {
   switch (from) {
-    case ValidatorDiskState::kIdle:
-      return to == ValidatorDiskState::kBusy || to == ValidatorDiskState::kChangingRpm ||
-             to == ValidatorDiskState::kSpinningDown;
-    case ValidatorDiskState::kBusy:
-      return to == ValidatorDiskState::kIdle;
-    case ValidatorDiskState::kChangingRpm:
-      return to == ValidatorDiskState::kIdle;
-    case ValidatorDiskState::kSpinningDown:
-      return to == ValidatorDiskState::kStandby;
-    case ValidatorDiskState::kStandby:
-      return to == ValidatorDiskState::kSpinningUp;
-    case ValidatorDiskState::kSpinningUp:
-      return to == ValidatorDiskState::kIdle;
+    case DiskPowerState::kIdle:
+      return to == DiskPowerState::kBusy || to == DiskPowerState::kChangingRpm ||
+             to == DiskPowerState::kSpinningDown;
+    case DiskPowerState::kBusy:
+      return to == DiskPowerState::kIdle;
+    case DiskPowerState::kChangingRpm:
+      return to == DiskPowerState::kIdle;
+    case DiskPowerState::kSpinningDown:
+      return to == DiskPowerState::kStandby;
+    case DiskPowerState::kStandby:
+      return to == DiskPowerState::kSpinningUp;
+    case DiskPowerState::kSpinningUp:
+      return to == DiskPowerState::kIdle;
   }
   return false;
 }
 
-void SimValidator::OnDiskTransition(std::uint32_t index, ValidatorDiskState from,
-                                    ValidatorDiskState to, SimTime now,
+void SimValidator::OnDiskTransition(std::uint32_t index, DiskPowerState from,
+                                    DiskPowerState to, SimTime now,
                                     Watts new_power, Joules metered_total,
                                     std::int64_t queue_depth) {
   DiskTrack& track = AttachedTrack(index, "transition");
 
   HIB_CHECK(IsLegalTransition(from, to))
       << "disk " << track.disk_id << ": illegal transition "
-      << ValidatorDiskStateName(from) << " -> " << ValidatorDiskStateName(to);
+      << DiskPowerStateName(from) << " -> " << DiskPowerStateName(to);
   HIB_CHECK_EQ(static_cast<int>(track.state), static_cast<int>(from))
       << "disk " << track.disk_id << ": transition from "
-      << ValidatorDiskStateName(from) << " but validator last saw "
-      << ValidatorDiskStateName(track.state);
+      << DiskPowerStateName(from) << " but validator last saw "
+      << DiskPowerStateName(track.state);
   HIB_CHECK_GE(now, track.last_change)
       << "disk " << track.disk_id << ": state change went backwards in time";
   HIB_CHECK_GE(queue_depth, 0)
       << "disk " << track.disk_id << ": negative queue depth";
-  if (to == ValidatorDiskState::kSpinningDown) {
+  if (to == DiskPowerState::kSpinningDown) {
     HIB_CHECK_EQ(queue_depth, 0)
         << "disk " << track.disk_id << ": spinning down with queued requests";
   }

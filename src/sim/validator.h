@@ -1,8 +1,8 @@
 // Runtime invariant validator for the discrete-event core (debug builds).
 //
-// When HIB_VALIDATE is on (any build type except Release/MinSizeRel, or
-// -DHIB_VALIDATE=ON), every Simulator holds a SimValidator by value and the
-// simulation core reports into it:
+// When HIB_VALIDATE is on (any build type except Release/MinSizeRel), every
+// Simulator holds a SimValidator by value and the simulation core reports
+// into it:
 //
 //   - Simulator::RunUntil / Step  -> OnDispatch: dispatch times must be
 //     monotonically non-decreasing and events must never fire in the past.
@@ -34,19 +34,37 @@
 
 namespace hib {
 
-// Mirrors DiskPowerState without dragging disk.h into the sim layer (sim is
-// below disk in the dependency order).  Values must stay in sync; disk.h
-// static_asserts the correspondence.
-enum class ValidatorDiskState : int {
-  kIdle = 0,
-  kBusy = 1,
-  kChangingRpm = 2,
-  kSpinningDown = 3,
-  kStandby = 4,
-  kSpinningUp = 5,
+// A multi-speed disk's power states (src/disk/disk.h documents the machine).
+// Defined here, below the disk layer, so the validator audits the disk's own
+// enum.
+enum class DiskPowerState {
+  kIdle,          // spinning at current RPM, no request in service
+  kBusy,          // serving a request
+  kChangingRpm,   // moving the spindle between two speeds
+  kSpinningDown,  // heading to standby
+  kStandby,       // spun down
+  kSpinningUp,    // leaving standby
 };
 
-const char* ValidatorDiskStateName(ValidatorDiskState state);
+// Inline: disk.cc names states in trace spans in every build, and
+// validator.cc is not compiled in Release.
+inline const char* DiskPowerStateName(DiskPowerState state) {
+  switch (state) {
+    case DiskPowerState::kIdle:
+      return "IDLE";
+    case DiskPowerState::kBusy:
+      return "BUSY";
+    case DiskPowerState::kChangingRpm:
+      return "CHANGING_RPM";
+    case DiskPowerState::kSpinningDown:
+      return "SPINNING_DOWN";
+    case DiskPowerState::kStandby:
+      return "STANDBY";
+    case DiskPowerState::kSpinningUp:
+      return "SPINNING_UP";
+  }
+  return "?";
+}
 
 class SimValidator {
  public:
@@ -61,7 +79,7 @@ class SimValidator {
   // --- Disk hooks -----------------------------------------------------------
   // Opens a fresh track for a disk and returns its index.  `power` is the
   // draw of the initial state.
-  std::uint32_t OnDiskAttached(int disk_id, ValidatorDiskState state, Watts power, SimTime now);
+  std::uint32_t OnDiskAttached(int disk_id, DiskPowerState state, Watts power, SimTime now);
 
   // Closes a track (called from ~Disk).  Detaching twice aborts.
   void OnDiskDetached(std::uint32_t index);
@@ -70,12 +88,12 @@ class SimValidator {
   // draw of `to`; `metered_total` is the disk's own DiskEnergy::Total()
   // integrated through `now`; `queue_depth` counts foreground + background
   // requests.
-  void OnDiskTransition(std::uint32_t index, ValidatorDiskState from, ValidatorDiskState to,
+  void OnDiskTransition(std::uint32_t index, DiskPowerState from, DiskPowerState to,
                         SimTime now, Watts new_power, Joules metered_total,
                         std::int64_t queue_depth);
 
   // True when `from -> to` is an edge of the legal power-state graph.
-  static bool IsLegalTransition(ValidatorDiskState from, ValidatorDiskState to);
+  static bool IsLegalTransition(DiskPowerState from, DiskPowerState to);
 
   // --- introspection (tests) ------------------------------------------------
   std::int64_t dispatches_checked() const { return dispatches_checked_; }
@@ -87,7 +105,7 @@ class SimValidator {
   struct DiskTrack {
     int disk_id = -1;
     bool attached = true;
-    ValidatorDiskState state = ValidatorDiskState::kIdle;
+    DiskPowerState state = DiskPowerState::kIdle;
     Watts power;
     SimTime last_change;
     Joules integrated;  // validator's own sum of power * dt

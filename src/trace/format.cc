@@ -321,12 +321,6 @@ std::unique_ptr<CompiledTraceReader> CompiledTraceReader::Open(const std::string
   return reader;
 }
 
-std::unique_ptr<CompiledTraceReader> CompiledTraceReader::OpenOrDie(const std::string& path) {
-  auto reader = Open(path);
-  HIB_CHECK(reader->ok()) << reader->error();
-  return reader;
-}
-
 CompiledTraceReader::~CompiledTraceReader() {
   if (mmap_base_ != nullptr) {
     ::munmap(mmap_base_, mmap_len_);

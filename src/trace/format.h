@@ -154,10 +154,6 @@ class CompiledTraceReader : public WorkloadSource {
   // Takes ownership of an in-memory compiled trace (tests, morph pipelines).
   static std::unique_ptr<CompiledTraceReader> FromBuffer(std::string bytes);
 
-  // Open() that HIB_CHECK-fails on any validation error; for tools and tests
-  // where a bad trace is a fatal misuse, not a recoverable condition.
-  static std::unique_ptr<CompiledTraceReader> OpenOrDie(const std::string& path);
-
   ~CompiledTraceReader() override;
   CompiledTraceReader(const CompiledTraceReader&) = delete;
   CompiledTraceReader& operator=(const CompiledTraceReader&) = delete;

@@ -1,6 +1,5 @@
 #include "src/trace/spc_writer.h"
 
-#include <fstream>
 #include <iomanip>
 
 namespace hib {
@@ -29,15 +28,6 @@ std::int64_t ExportSpcTrace(WorkloadSource& source, std::ostream& out,
     writer.Write(record);
   }
   return writer.records_written();
-}
-
-std::int64_t ExportSpcTraceToFile(WorkloadSource& source, const std::string& path,
-                                  std::int64_t max_records) {
-  std::ofstream out(path);
-  if (!out) {
-    return -1;
-  }
-  return ExportSpcTrace(source, out, max_records);
 }
 
 }  // namespace hib

@@ -9,7 +9,6 @@
 #define HIBERNATOR_SRC_TRACE_SPC_WRITER_H_
 
 #include <ostream>
-#include <string>
 
 #include "src/trace/trace.h"
 
@@ -36,11 +35,6 @@ class SpcTraceWriter {
 // `max_records` < 0 means no cap.
 std::int64_t ExportSpcTrace(WorkloadSource& source, std::ostream& out,
                             std::int64_t max_records = -1);
-
-// Convenience: export to a file path; returns records written, -1 on I/O
-// failure.
-std::int64_t ExportSpcTraceToFile(WorkloadSource& source, const std::string& path,
-                                  std::int64_t max_records = -1);
 
 }  // namespace hib
 

@@ -6,8 +6,8 @@
 //       cheap preconditions whose violation means the simulation is garbage.
 //   HIB_DCHECK / HIB_DCHECK_EQ / ...: compiled only when HIB_VALIDATE is
 //       nonzero (CMake turns it on for every build type except Release /
-//       MinSizeRel; -DHIB_VALIDATE=ON|OFF overrides).  Use for per-event
-//       invariants that are too hot to keep in optimized production runs.
+//       MinSizeRel).  Use for per-event invariants that are too hot to keep
+//       in optimized production runs.
 //
 // Both support trailing stream context and print expression, file:line and
 // (for the _OP forms) the two operand values before aborting:

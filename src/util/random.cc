@@ -67,16 +67,6 @@ double Pcg32::NextPareto(double alpha, double x_min) {
   return x_min / std::pow(u, 1.0 / alpha);
 }
 
-double Pcg32::NextGaussian(double mean, double stddev) {
-  double u1;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 0.0);
-  double u2 = NextDouble();
-  double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-  return mean + stddev * z;
-}
-
 ZipfTable::ZipfTable(std::int64_t n, double theta, const RangeRunner& for_ranges)
     : theta_(theta),
       cdf_(static_cast<std::size_t>(n < 1 ? 1 : n)),

@@ -37,9 +37,6 @@ class Pcg32 {
   // Pareto-distributed value with shape `alpha` and scale `x_min`.
   double NextPareto(double alpha, double x_min);
 
-  // Normally distributed value (Box-Muller).
-  double NextGaussian(double mean, double stddev);
-
  private:
   std::uint64_t state_;
   std::uint64_t inc_;

@@ -127,92 +127,77 @@ TEST(Layout, ResetRoundRobinRestores) {
   EXPECT_EQ(layout.extents_per_group()[0], 500);
 }
 
-// ------------------------------------------------- TemperatureTracker ------
+// ------------------------------------------------ extent temperature ------
 
 TEST(Temperature, TouchAccumulates) {
-  TemperatureTracker temps(10, 0.5);
-  temps.Touch(3);
-  temps.Touch(3);
-  temps.Touch(5, 2.5);
-  EXPECT_DOUBLE_EQ(temps.TemperatureOf(3), 2.0);
-  EXPECT_DOUBLE_EQ(temps.TemperatureOf(5), 2.5);
-  EXPECT_DOUBLE_EQ(temps.TemperatureOf(0), 0.0);
+  LayoutManager layout(SmallLayout());
+  layout.Touch(3);
+  layout.Touch(3);
+  layout.Touch(5);
+  EXPECT_DOUBLE_EQ(layout.TemperatureOf(3), 2.0);
+  EXPECT_DOUBLE_EQ(layout.TemperatureOf(5), 1.0);
+  EXPECT_DOUBLE_EQ(layout.TemperatureOf(0), 0.0);
 }
 
 TEST(Temperature, EpochDecay) {
-  TemperatureTracker temps(4, 0.5);
-  temps.Touch(1);
-  temps.Touch(1);
-  temps.EndEpoch();
-  EXPECT_DOUBLE_EQ(temps.TemperatureOf(1), 2.0);
-  temps.EndEpoch();
-  EXPECT_DOUBLE_EQ(temps.TemperatureOf(1), 1.0);
-  temps.Touch(1);
-  EXPECT_DOUBLE_EQ(temps.TemperatureOf(1), 2.0);  // decayed 1.0 + window 1.0
+  LayoutManager layout(SmallLayout());
+  layout.Touch(1);
+  layout.Touch(1);
+  layout.EndEpoch();
+  EXPECT_DOUBLE_EQ(layout.TemperatureOf(1), 2.0);
+  layout.EndEpoch();
+  EXPECT_DOUBLE_EQ(layout.TemperatureOf(1), 1.0);
+  layout.Touch(1);
+  EXPECT_DOUBLE_EQ(layout.TemperatureOf(1), 2.0);  // decayed 1.0 + window 1.0
 }
 
 TEST(Temperature, SortedHottestFirst) {
-  TemperatureTracker temps(5, 0.5);
-  temps.Touch(2, 10.0);
-  temps.Touch(4, 5.0);
-  temps.Touch(0, 1.0);
-  std::vector<std::int64_t> order = temps.SortedHottestFirst();
+  LayoutManager layout(SmallLayout());
+  for (int i = 0; i < 3; ++i) {
+    layout.Touch(2);
+  }
+  layout.Touch(4);
+  layout.Touch(4);
+  layout.Touch(0);
+  std::vector<std::int64_t> order = layout.SortedHottestFirst();
   EXPECT_EQ(order[0], 2);
   EXPECT_EQ(order[1], 4);
   EXPECT_EQ(order[2], 0);
 }
 
-TEST(Temperature, TotalTemperature) {
-  TemperatureTracker temps(3, 0.5);
-  temps.Touch(0, 1.0);
-  temps.Touch(1, 2.0);
-  EXPECT_DOUBLE_EQ(temps.TotalTemperature(), 3.0);
-  temps.EndEpoch();
-  EXPECT_DOUBLE_EQ(temps.TotalTemperature(), 3.0);
-  temps.EndEpoch();
-  EXPECT_DOUBLE_EQ(temps.TotalTemperature(), 1.5);
-}
-
-TEST(Temperature, SharedRecordsMatchStandalone) {
-  // An array's tracker keeps its windows in the layout's extent records; it
-  // must read exactly like a standalone tracker, and regrouping an extent
-  // must leave every window alone.
+TEST(Temperature, SetGroupLeavesWindowsAlone) {
+  // One record holds an extent's group and its window: regrouping an extent
+  // must leave its temperature alone, and touches and epochs must leave
+  // every group alone.
   LayoutManager layout(SmallLayout());
-  TemperatureTracker shared(&layout, 0.5);
-  TemperatureTracker alone(layout.num_extents(), 0.5);
   std::vector<int> groups(static_cast<std::size_t>(layout.num_extents()));
   for (std::int64_t e = 0; e < layout.num_extents(); ++e) {
     groups[static_cast<std::size_t>(e)] = layout.GroupOf(e);
   }
-  auto expect_same = [&](int step) {
+  auto expect_groups = [&] {
     for (std::int64_t e = 0; e < layout.num_extents(); ++e) {
-      ASSERT_EQ(shared.TemperatureOf(e), alone.TemperatureOf(e)) << "extent " << e << " step " << step;
       ASSERT_EQ(layout.GroupOf(e), groups[static_cast<std::size_t>(e)]) << "extent " << e;
     }
-    ASSERT_EQ(shared.SortedHottestFirst(), alone.SortedHottestFirst()) << "step " << step;
-    ASSERT_EQ(shared.TotalTemperature(), alone.TotalTemperature()) << "step " << step;
   };
   Pcg32 rng(77);
   for (int step = 0; step < 50000; ++step) {
     std::int64_t extent = rng.NextInRange(0, layout.num_extents() - 1);
     double pick = rng.NextDouble();
     if (pick < 0.8) {
-      double weight = 3.0 * rng.NextDouble();  // rarely a float: exercises rounding
-      shared.Touch(extent, weight);
-      alone.Touch(extent, weight);
+      layout.Touch(extent);
     } else if (pick < 0.998) {
-      int group = static_cast<int>(rng.NextBounded(static_cast<std::uint32_t>(layout.num_groups())));
-      double before = shared.TemperatureOf(extent);
+      int group =
+          static_cast<int>(rng.NextBounded(static_cast<std::uint32_t>(layout.num_groups())));
+      double before = layout.TemperatureOf(extent);
       layout.SetGroup(extent, group);
       groups[static_cast<std::size_t>(extent)] = group;
-      ASSERT_EQ(shared.TemperatureOf(extent), before) << "SetGroup changed a window";
+      ASSERT_EQ(layout.TemperatureOf(extent), before) << "SetGroup changed a window";
     } else {
-      shared.EndEpoch();
-      alone.EndEpoch();
-      expect_same(step);
+      layout.EndEpoch();
+      expect_groups();
     }
   }
-  expect_same(-1);
+  expect_groups();
 }
 
 // ------------------------------------------------------------ LruCache -----
@@ -401,8 +386,8 @@ TEST_F(ArrayTest, TemperatureTouchedPerAccess) {
   array.Submit(MakeRecord(0, 8, false));
   array.Submit(MakeRecord(array.params().extent_sectors * 5, 8, true));
   sim_.RunUntil(Seconds(5.0));
-  EXPECT_DOUBLE_EQ(array.temperatures().TemperatureOf(0), 2.0);
-  EXPECT_DOUBLE_EQ(array.temperatures().TemperatureOf(5), 1.0);
+  EXPECT_DOUBLE_EQ(array.layout().TemperatureOf(0), 2.0);
+  EXPECT_DOUBLE_EQ(array.layout().TemperatureOf(5), 1.0);
 }
 
 // The hook is the only way a response leaves the array: it must see every
@@ -468,17 +453,6 @@ TEST_F(ArrayTest, MigrationPauseDefersWork) {
   array.PauseMigration(false);
   sim_.RunUntil(Seconds(60.0));
   EXPECT_EQ(array.layout().GroupOf(0), 1);
-}
-
-TEST_F(ArrayTest, CancelQueuedMigrations) {
-  ArrayController array(&sim_, SmallArray());
-  array.PauseMigration(true);
-  array.RequestMigration(0, 1);
-  array.RequestMigration(2, 1);
-  array.CancelQueuedMigrations();
-  array.PauseMigration(false);
-  sim_.RunUntil(Seconds(30.0));
-  EXPECT_EQ(array.stats().migrations_completed, 0);
 }
 
 TEST_F(ArrayTest, ConcurrentMigrationCapRespected) {

@@ -50,7 +50,7 @@ TEST(SeekModel, MonotoneInDistance) {
 // ---------------------------------------------------------- DiskParams -----
 
 TEST(DiskParams, UltrastarValidates) {
-  for (int levels : {1, 2, 3, 5, 13}) {
+  for (int levels : {1, 2, 3, 5, 13, kUltrastarMaxSpeedLevels}) {
     DiskParams p = MakeUltrastar36Z15MultiSpeed(levels);
     EXPECT_EQ(p.Validate(), "") << "levels=" << levels;
     EXPECT_EQ(p.num_speeds(), levels);
@@ -268,7 +268,7 @@ TEST_F(DiskTest, EnergyLedgerMatchesStateTimes) {
   sim_.RunUntil(Seconds(20.0));
   disk.SpinDown();
   sim_.RunUntil(Seconds(40.0));
-  disk.SpinUp();
+  disk.Submit(DiskRequest{});  // a demand arrival wakes the disk
   sim_.RunUntil(Seconds(60.0));
 
   DiskEnergy e = disk.MeteredEnergy();
@@ -403,7 +403,7 @@ TEST_F(DiskTest, SpinUpTargetsPendingRpm) {
   disk.SpinDown();
   sim_.RunUntil(Seconds(10.0));
   disk.SetTargetRpm(6000);  // while in standby
-  disk.SpinUp();
+  disk.Submit(DiskRequest{});
   sim_.RunUntil(Seconds(60.0));
   EXPECT_EQ(disk.current_rpm(), 6000);
   EXPECT_EQ(disk.state(), DiskPowerState::kIdle);
@@ -437,11 +437,6 @@ TEST_F(DiskTest, WritesTrackSectorsWritten) {
   sim_.RunUntil(Seconds(5.0));
   EXPECT_EQ(disk.stats().sectors_written, 16);
   EXPECT_EQ(disk.stats().sectors_read, 0);
-}
-
-TEST_F(DiskTest, ExpectedServiceTimeFasterAtHigherLevel) {
-  Disk disk(&sim_, params_, 0, 1);
-  EXPECT_GT(disk.ExpectedServiceTime(8, 0), disk.ExpectedServiceTime(8, 4));
 }
 
 TEST_F(DiskTest, SlowSpeedSlowsService) {

@@ -66,10 +66,9 @@ TEST(Schemes, ArrayForReshapesPdc) {
 TEST(Schemes, ArrayForAddsMaidCacheDisks) {
   SchemeConfig cfg;
   cfg.scheme = Scheme::kMaid;
-  cfg.maid_cache_disks = 3;
   ArrayParams adjusted = ArrayFor(cfg, TinyArray());
   EXPECT_EQ(adjusted.group_width, 1);
-  EXPECT_EQ(adjusted.num_cache_disks, 3);
+  EXPECT_EQ(adjusted.num_cache_disks, 2);
 }
 
 TEST(Schemes, ArrayForLeavesStripedSchemesAlone) {

@@ -33,6 +33,24 @@ ConstantWorkloadParams TinyWorkload(SectorAddr space) {
   return p;
 }
 
+// The paths cello-compare runs beyond the constant stream: PDC and
+// Hibernator migrations, MAID cache-disk copies and controller-cache hits,
+// on a bursty write-heavy stream.
+ArrayParams CelloArray() {
+  ArrayParams p = TinyArray();
+  p.num_disks = 8;
+  p.cache_lines = 256;
+  return p;
+}
+
+CelloWorkloadParams ShortCello(SectorAddr space) {
+  CelloWorkloadParams p;
+  p.address_space_sectors = space;
+  p.duration_ms = Hours(1.5);
+  p.peak_iops = 60.0;
+  return p;
+}
+
 std::vector<ExperimentSpec> MakeSpecs() {
   std::vector<ExperimentSpec> specs;
   ExperimentOptions options;
@@ -49,6 +67,18 @@ std::vector<ExperimentSpec> MakeSpecs() {
         },
         options);
     specs.push_back(std::move(spec));
+  }
+  for (Scheme s : MainComparisonSchemes()) {
+    SchemeConfig cfg;
+    cfg.scheme = s;
+    cfg.epoch_ms = Hours(0.25);
+    cfg.goal_ms = Ms(40.0);
+    specs.push_back(SpecForScheme(
+        cfg, CelloArray(),
+        [](const ArrayParams& array) {
+          return std::make_unique<CelloWorkload>(ShortCello(array.DataSectors()));
+        },
+        options));
   }
   return specs;
 }
@@ -82,6 +112,29 @@ void ExpectBitIdentical(const ExperimentResult& a, const ExperimentResult& b) {
     EXPECT_EQ(a.series[i].disks_at_level, b.series[i].disks_at_level);
     EXPECT_EQ(a.series[i].disks_standby, b.series[i].disks_standby);
   }
+  const MetricsSnapshot& am = a.metrics;
+  const MetricsSnapshot& bm = b.metrics;
+  ASSERT_EQ(am.counters.size(), bm.counters.size());
+  for (std::size_t i = 0; i < am.counters.size(); ++i) {
+    EXPECT_EQ(am.counters[i].name, bm.counters[i].name);
+    EXPECT_EQ(am.counters[i].count, bm.counters[i].count) << am.counters[i].name;
+  }
+  ASSERT_EQ(am.gauges.size(), bm.gauges.size());
+  for (std::size_t i = 0; i < am.gauges.size(); ++i) {
+    EXPECT_EQ(am.gauges[i].name, bm.gauges[i].name);
+    EXPECT_EQ(am.gauges[i].current, bm.gauges[i].current) << am.gauges[i].name;
+  }
+  ASSERT_EQ(am.histograms.size(), bm.histograms.size());
+  for (std::size_t i = 0; i < am.histograms.size(); ++i) {
+    const MetricsSnapshot::HistogramPoint& ah = am.histograms[i];
+    const MetricsSnapshot::HistogramPoint& bh = bm.histograms[i];
+    EXPECT_EQ(ah.name, bh.name);
+    EXPECT_EQ(ah.count, bh.count) << ah.name;
+    EXPECT_EQ(ah.sum, bh.sum) << ah.name;
+    EXPECT_EQ(ah.min_seen, bh.min_seen) << ah.name;
+    EXPECT_EQ(ah.max_seen, bh.max_seen) << ah.name;
+    EXPECT_EQ(ah.buckets, bh.buckets) << ah.name;
+  }
 }
 
 TEST(RunAll, BitIdenticalToSequentialRuns) {
@@ -99,6 +152,24 @@ TEST(RunAll, BitIdenticalToSequentialRuns) {
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     SCOPED_TRACE(specs[i].name);
     ExpectBitIdentical(parallel[i], sequential[i]);
+  }
+
+  // The Cello specs must keep reaching the paths they are there for.
+  auto counter = [](const ExperimentResult& r, const std::string& name) {
+    for (const MetricsSnapshot::CounterPoint& c : r.metrics.counters) {
+      if (c.name == name) {
+        return c.count;
+      }
+    }
+    return std::int64_t{0};
+  };
+  for (std::size_t i = specs.size() - MainComparisonSchemes().size(); i < specs.size(); ++i) {
+    const ExperimentResult& r = sequential[i];
+    SCOPED_TRACE(r.policy_name);
+    EXPECT_GT(r.cache_hit_rate, 0.0);
+    EXPECT_EQ(r.migrations > 0, r.policy_name == "PDC" || r.policy_name == "Hibernator");
+    EXPECT_EQ(r.rpm_changes > 0, r.policy_name == "DRPM" || r.policy_name == "Hibernator");
+    EXPECT_EQ(counter(r, "policy.maid_copies_started") > 0, r.policy_name == "MAID");
   }
 }
 

@@ -59,28 +59,6 @@ TEST(Mg1, MonotoneInScv) {
             Mg1Model::ResponseTime(PerMs(0.05), Ms(10.0), 2.0));
 }
 
-TEST(Mg1, MaxArrivalRateInvertsResponse) {
-  Duration s = Ms(8.0);
-  double scv = 0.7;
-  for (double target : {9.0, 12.0, 20.0, 50.0}) {
-    Frequency lambda = Mg1Model::MaxArrivalRate(Ms(target), s, scv);
-    ASSERT_GT(lambda, Frequency{});
-    EXPECT_NEAR(Mg1Model::ResponseTime(lambda, s, scv).value(), target, 1e-6)
-        << "target=" << target;
-  }
-}
-
-TEST(Mg1, MaxArrivalRateZeroWhenUnreachable) {
-  EXPECT_DOUBLE_EQ(Mg1Model::MaxArrivalRate(Ms(5.0), Ms(8.0), 1.0).value(), 0.0);   // target < S
-  EXPECT_DOUBLE_EQ(Mg1Model::MaxArrivalRate(Ms(8.0), Ms(8.0), 1.0).value(), 0.0);   // target == S
-}
-
-TEST(Mg1, MaxArrivalRateBelowSaturation) {
-  Duration s = Ms(8.0);
-  Frequency lambda = Mg1Model::MaxArrivalRate(Ms(1000.0), s, 1.0);
-  EXPECT_LT(lambda * s, 1.0);
-}
-
 // ---------------------------------------------------- SpeedServiceModel ----
 
 TEST(SpeedServiceModel, OneEntryPerLevel) {

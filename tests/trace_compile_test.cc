@@ -10,7 +10,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -465,15 +464,6 @@ TEST(TraceCorruption, MissingFileFailsClosed) {
   EXPECT_FALSE(reader->ok());
   TraceRecord r;
   EXPECT_FALSE(reader->Next(&r));
-}
-
-TEST(TraceCorruptionDeathTest, OpenOrDieAbortsOnDamage) {
-  std::string bytes = SealedTrace();
-  bytes[0] = 'X';
-  const std::string path = testing::TempDir() + "/corrupt_trace.hibt";
-  std::ofstream(path, std::ios::binary).write(bytes.data(),
-                                              static_cast<std::streamsize>(bytes.size()));
-  EXPECT_DEATH(CompiledTraceReader::OpenOrDie(path), "bad magic");
 }
 
 // ---------------------------------------------------------------- fuzzing ---

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
 #include <vector>
 
@@ -592,7 +593,9 @@ TEST(SpcWriter, FileExportAndReadBack) {
   p.iops = 10.0;
   ConstantWorkload source(p);
   std::string path = ::testing::TempDir() + "/hibernator_trace_test.spc";
-  std::int64_t written = ExportSpcTraceToFile(source, path);
+  std::ofstream out(path);
+  std::int64_t written = ExportSpcTrace(source, out);
+  out.close();
   ASSERT_GT(written, 0);
   SpcTraceReader reader(path, kSpace, 1);
   TraceRecord rec;

@@ -169,16 +169,6 @@ TEST(Pcg32, ParetoRespectsMinimumAndMean) {
   EXPECT_NEAR(sum / kN, 3.0, 0.1);
 }
 
-TEST(Pcg32, GaussianMoments) {
-  Pcg32 rng(23);
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) {
-    stats.Add(rng.NextGaussian(5.0, 2.0));
-  }
-  EXPECT_NEAR(stats.mean(), 5.0, 0.05);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
-}
-
 // ------------------------------------------------------------- Zipf --------
 
 TEST(Zipf, RankZeroMostPopular) {

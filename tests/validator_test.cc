@@ -3,8 +3,8 @@
 // proving that injected violations (e.g. a disk jumping kStandby -> kBusy
 // without spinning up) abort with a diagnostic.
 //
-// In builds with HIB_VALIDATE off (Release/MinSizeRel or -DHIB_VALIDATE=OFF)
-// the validator does not exist; this file compiles to a single skip.
+// In builds with HIB_VALIDATE off (Release/MinSizeRel) the validator does
+// not exist; this file compiles to a single skip.
 #include <gtest/gtest.h>
 
 #include "src/disk/disk.h"
@@ -20,14 +20,14 @@
 namespace hib {
 namespace {
 
-constexpr ValidatorDiskState kAllStates[] = {
-    ValidatorDiskState::kIdle,         ValidatorDiskState::kBusy,
-    ValidatorDiskState::kChangingRpm,  ValidatorDiskState::kSpinningDown,
-    ValidatorDiskState::kStandby,      ValidatorDiskState::kSpinningUp,
+constexpr DiskPowerState kAllStates[] = {
+    DiskPowerState::kIdle,         DiskPowerState::kBusy,
+    DiskPowerState::kChangingRpm,  DiskPowerState::kSpinningDown,
+    DiskPowerState::kStandby,      DiskPowerState::kSpinningUp,
 };
 
 TEST(SimValidatorTest, LegalTransitionTableIsExactlyTheDocumentedGraph) {
-  using S = ValidatorDiskState;
+  using S = DiskPowerState;
   const std::vector<std::pair<S, S>> legal = {
       {S::kIdle, S::kBusy},         {S::kIdle, S::kChangingRpm},
       {S::kIdle, S::kSpinningDown}, {S::kBusy, S::kIdle},
@@ -41,13 +41,14 @@ TEST(SimValidatorTest, LegalTransitionTableIsExactlyTheDocumentedGraph) {
         want = want || (edge.first == from && edge.second == to);
       }
       EXPECT_EQ(SimValidator::IsLegalTransition(from, to), want)
-          << ValidatorDiskStateName(from) << " -> " << ValidatorDiskStateName(to);
+          << DiskPowerStateName(from) << " -> " << DiskPowerStateName(to);
     }
   }
 }
 
 // Drives `disk` through every legal edge: serve I/O, change RPM, spin down,
-// spin up.  Times are relative to the simulator's clock on entry.
+// spin up on a demand arrival.  Times are relative to the simulator's clock
+// on entry.
 void ExerciseEveryEdge(Simulator* sim, Disk* disk) {
   SimTime start = sim->Now();
   for (int i = 0; i < 8; ++i) {
@@ -63,7 +64,7 @@ void ExerciseEveryEdge(Simulator* sim, Disk* disk) {
   ASSERT_TRUE(disk->SpinDown());
   sim->RunUntil(start + Seconds(120.0));
   EXPECT_EQ(disk->state(), DiskPowerState::kStandby);
-  disk->SpinUp();
+  disk->Submit(DiskRequest{});
   sim->RunUntil(start + Seconds(600.0));
   EXPECT_EQ(disk->state(), DiskPowerState::kIdle);
 }
@@ -94,11 +95,11 @@ TEST(SimValidatorTest, CleanDiskLifecyclePassesEveryAudit) {
 
 TEST(SimValidatorTest, MatchingLedgerWithinToleranceIsAccepted) {
   SimValidator validator;
-  std::uint32_t track = validator.OnDiskAttached(7, ValidatorDiskState::kIdle,
+  std::uint32_t track = validator.OnDiskAttached(7, DiskPowerState::kIdle,
                                                  /*power=*/Watts(10.0), /*now=*/SimTime{});
   // 10 W for 1 s = 10 J; a ledger within 1e-6 relative drift must pass.
-  validator.OnDiskTransition(track, ValidatorDiskState::kIdle,
-                             ValidatorDiskState::kBusy, /*now=*/Ms(1000.0),
+  validator.OnDiskTransition(track, DiskPowerState::kIdle,
+                             DiskPowerState::kBusy, /*now=*/Ms(1000.0),
                              /*new_power=*/Watts(13.5),
                              /*metered_total=*/Joules(10.0 + 5e-6),
                              /*queue_depth=*/1);
@@ -107,21 +108,21 @@ TEST(SimValidatorTest, MatchingLedgerWithinToleranceIsAccepted) {
 
 TEST(SimValidatorTest, AttachReturnsDenseIndicesInAttachOrder) {
   SimValidator validator;
-  EXPECT_EQ(validator.OnDiskAttached(5, ValidatorDiskState::kIdle, Watts(10.0), SimTime{}), 0u);
-  EXPECT_EQ(validator.OnDiskAttached(2, ValidatorDiskState::kIdle, Watts(10.0), SimTime{}), 1u);
+  EXPECT_EQ(validator.OnDiskAttached(5, DiskPowerState::kIdle, Watts(10.0), SimTime{}), 0u);
+  EXPECT_EQ(validator.OnDiskAttached(2, DiskPowerState::kIdle, Watts(10.0), SimTime{}), 1u);
   validator.OnDiskDetached(0);
   // Indices are never reused, so a stale handle cannot alias a new disk.
-  EXPECT_EQ(validator.OnDiskAttached(5, ValidatorDiskState::kIdle, Watts(10.0), SimTime{}), 2u);
+  EXPECT_EQ(validator.OnDiskAttached(5, DiskPowerState::kIdle, Watts(10.0), SimTime{}), 2u);
   EXPECT_EQ(validator.disks_tracked(), 2);
 }
 
 TEST(SimValidatorDeathTest, StandbyDirectlyToBusyAborts) {
   SimValidator validator;
   std::uint32_t track =
-      validator.OnDiskAttached(3, ValidatorDiskState::kStandby, Watts(0.9), SimTime{});
+      validator.OnDiskAttached(3, DiskPowerState::kStandby, Watts(0.9), SimTime{});
   EXPECT_DEATH(
-      validator.OnDiskTransition(track, ValidatorDiskState::kStandby,
-                                 ValidatorDiskState::kBusy, Ms(10.0), Watts(13.5),
+      validator.OnDiskTransition(track, DiskPowerState::kStandby,
+                                 DiskPowerState::kBusy, Ms(10.0), Watts(13.5),
                                  EnergyOf(Watts(0.9), Ms(10.0)), 1),
       "illegal transition STANDBY -> BUSY");
 }
@@ -129,11 +130,11 @@ TEST(SimValidatorDeathTest, StandbyDirectlyToBusyAborts) {
 TEST(SimValidatorDeathTest, EnergyLedgerDriftAborts) {
   SimValidator validator;
   std::uint32_t track =
-      validator.OnDiskAttached(4, ValidatorDiskState::kIdle, Watts(10.0), SimTime{});
+      validator.OnDiskAttached(4, DiskPowerState::kIdle, Watts(10.0), SimTime{});
   // The disk claims 11 J where integrating 10 W over 1 s gives 10 J.
   EXPECT_DEATH(
-      validator.OnDiskTransition(track, ValidatorDiskState::kIdle,
-                                 ValidatorDiskState::kBusy, Ms(1000.0), Watts(13.5),
+      validator.OnDiskTransition(track, DiskPowerState::kIdle,
+                                 DiskPowerState::kBusy, Ms(1000.0), Watts(13.5),
                                  /*metered_total=*/Joules(11.0), 0),
       "energy ledger drift");
 }
@@ -145,12 +146,12 @@ TEST(SimValidatorDeathTest, MisScaledTransitionEnergyAborts) {
   // validator is the runtime backstop at the .value() boundaries.
   SimValidator validator;
   std::uint32_t track =
-      validator.OnDiskAttached(9, ValidatorDiskState::kIdle, Watts(10.0), SimTime{});
+      validator.OnDiskAttached(9, DiskPowerState::kIdle, Watts(10.0), SimTime{});
   Joules true_energy = EnergyOf(Watts(10.0), Seconds(1.0));
   Joules mis_scaled = Joules(true_energy.value() * kMsPerSecond);
   EXPECT_DEATH(
-      validator.OnDiskTransition(track, ValidatorDiskState::kIdle,
-                                 ValidatorDiskState::kBusy, Seconds(1.0), Watts(13.5),
+      validator.OnDiskTransition(track, DiskPowerState::kIdle,
+                                 DiskPowerState::kBusy, Seconds(1.0), Watts(13.5),
                                  /*metered_total=*/mis_scaled, 0),
       "energy ledger drift");
 }
@@ -158,10 +159,10 @@ TEST(SimValidatorDeathTest, MisScaledTransitionEnergyAborts) {
 TEST(SimValidatorDeathTest, NegativeQueueDepthAborts) {
   SimValidator validator;
   std::uint32_t track =
-      validator.OnDiskAttached(5, ValidatorDiskState::kIdle, Watts(10.0), SimTime{});
+      validator.OnDiskAttached(5, DiskPowerState::kIdle, Watts(10.0), SimTime{});
   EXPECT_DEATH(
-      validator.OnDiskTransition(track, ValidatorDiskState::kIdle,
-                                 ValidatorDiskState::kBusy, Ms(1000.0), Watts(13.5),
+      validator.OnDiskTransition(track, DiskPowerState::kIdle,
+                                 DiskPowerState::kBusy, Ms(1000.0), Watts(13.5),
                                  EnergyOf(Watts(10.0), Ms(1000.0)), /*queue_depth=*/-1),
       "negative queue depth");
 }
@@ -169,10 +170,10 @@ TEST(SimValidatorDeathTest, NegativeQueueDepthAborts) {
 TEST(SimValidatorDeathTest, SpinningDownWithQueuedRequestsAborts) {
   SimValidator validator;
   std::uint32_t track =
-      validator.OnDiskAttached(6, ValidatorDiskState::kIdle, Watts(10.0), SimTime{});
+      validator.OnDiskAttached(6, DiskPowerState::kIdle, Watts(10.0), SimTime{});
   EXPECT_DEATH(
-      validator.OnDiskTransition(track, ValidatorDiskState::kIdle,
-                                 ValidatorDiskState::kSpinningDown, Ms(1000.0), Watts(2.0),
+      validator.OnDiskTransition(track, DiskPowerState::kIdle,
+                                 DiskPowerState::kSpinningDown, Ms(1000.0), Watts(2.0),
                                  EnergyOf(Watts(10.0), Ms(1000.0)), /*queue_depth=*/3),
       "spinning down with queued requests");
 }
@@ -185,21 +186,21 @@ TEST(SimValidatorDeathTest, NonMonotonicDispatchAborts) {
 
 TEST(SimValidatorDeathTest, TransitionOnUnknownDiskAborts) {
   SimValidator validator;
-  validator.OnDiskAttached(1, ValidatorDiskState::kIdle, Watts(1.0), SimTime{});
+  validator.OnDiskAttached(1, DiskPowerState::kIdle, Watts(1.0), SimTime{});
   EXPECT_DEATH(
-      validator.OnDiskTransition(/*index=*/1, ValidatorDiskState::kIdle,
-                                 ValidatorDiskState::kBusy, SimTime{}, Watts(1.0), Joules{}, 0),
+      validator.OnDiskTransition(/*index=*/1, DiskPowerState::kIdle,
+                                 DiskPowerState::kBusy, SimTime{}, Watts(1.0), Joules{}, 0),
       "never attached");
 }
 
 TEST(SimValidatorDeathTest, TransitionAfterDetachAborts) {
   SimValidator validator;
   std::uint32_t track =
-      validator.OnDiskAttached(8, ValidatorDiskState::kIdle, Watts(10.0), SimTime{});
+      validator.OnDiskAttached(8, DiskPowerState::kIdle, Watts(10.0), SimTime{});
   validator.OnDiskDetached(track);
   EXPECT_DEATH(
-      validator.OnDiskTransition(track, ValidatorDiskState::kIdle,
-                                 ValidatorDiskState::kBusy, Ms(1000.0), Watts(13.5),
+      validator.OnDiskTransition(track, DiskPowerState::kIdle,
+                                 DiskPowerState::kBusy, Ms(1000.0), Watts(13.5),
                                  EnergyOf(Watts(10.0), Ms(1000.0)), 1),
       "transition on disk 8 \\(track 0\\) after it was detached");
 }
@@ -207,7 +208,7 @@ TEST(SimValidatorDeathTest, TransitionAfterDetachAborts) {
 TEST(SimValidatorDeathTest, DoubleDetachAborts) {
   SimValidator validator;
   std::uint32_t track =
-      validator.OnDiskAttached(8, ValidatorDiskState::kIdle, Watts(10.0), SimTime{});
+      validator.OnDiskAttached(8, DiskPowerState::kIdle, Watts(10.0), SimTime{});
   validator.OnDiskDetached(track);
   EXPECT_DEATH(validator.OnDiskDetached(track), "detach on disk 8 .* after it was detached");
 }
@@ -215,18 +216,18 @@ TEST(SimValidatorDeathTest, DoubleDetachAborts) {
 TEST(SimValidatorDeathTest, TransitionOnOneTrackLeavesTheOtherTrackAlone) {
   SimValidator validator;
   std::uint32_t first =
-      validator.OnDiskAttached(1, ValidatorDiskState::kIdle, Watts(10.0), SimTime{});
+      validator.OnDiskAttached(1, DiskPowerState::kIdle, Watts(10.0), SimTime{});
   std::uint32_t second =
-      validator.OnDiskAttached(2, ValidatorDiskState::kIdle, Watts(10.0), SimTime{});
-  validator.OnDiskTransition(first, ValidatorDiskState::kIdle, ValidatorDiskState::kBusy,
+      validator.OnDiskAttached(2, DiskPowerState::kIdle, Watts(10.0), SimTime{});
+  validator.OnDiskTransition(first, DiskPowerState::kIdle, DiskPowerState::kBusy,
                              Ms(1000.0), Watts(13.5), EnergyOf(Watts(10.0), Ms(1000.0)), 1);
   // The second disk is still idle: claiming it left BUSY must abort...
   EXPECT_DEATH(
-      validator.OnDiskTransition(second, ValidatorDiskState::kBusy, ValidatorDiskState::kIdle,
+      validator.OnDiskTransition(second, DiskPowerState::kBusy, DiskPowerState::kIdle,
                                  Ms(1000.0), Watts(10.0), EnergyOf(Watts(10.0), Ms(1000.0)), 0),
       "disk 2: transition from BUSY but validator last saw IDLE");
   // ...and its own IDLE -> BUSY passes.
-  validator.OnDiskTransition(second, ValidatorDiskState::kIdle, ValidatorDiskState::kBusy,
+  validator.OnDiskTransition(second, DiskPowerState::kIdle, DiskPowerState::kBusy,
                              Ms(1000.0), Watts(13.5), EnergyOf(Watts(10.0), Ms(1000.0)), 1);
   EXPECT_EQ(validator.transitions_checked(), 2);
 }
